@@ -1,9 +1,6 @@
 #include "exchange/greedy.h"
 
-#include <algorithm>
-
-#include "route/legality.h"
-#include "stack/stacking.h"
+#include "exchange/incremental_cost.h"
 
 namespace fp {
 
@@ -16,31 +13,21 @@ GreedyExchanger::GreedyExchanger(const Package& package,
 
 ExchangeResult GreedyExchanger::optimize(
     const PackageAssignment& initial) const {
-  require(static_cast<int>(initial.quadrants.size()) ==
-              package_->quadrant_count(),
-          "GreedyExchanger: assignment/package quadrant count mismatch");
-  for (int qi = 0; qi < package_->quadrant_count(); ++qi) {
-    require(is_monotone_legal(
-                package_->quadrant(qi),
-                initial.quadrants[static_cast<std::size_t>(qi)]),
-            "GreedyExchanger: initial assignment is not monotone legal");
-  }
-
   const Netlist& netlist = package_->netlist();
-  const int tiers = netlist.tier_count();
-  const bool stacking = tiers > 1;
+  const bool stacking = netlist.tier_count() > 1;
   require(stacking || !netlist.supply_nets().empty(),
           "GreedyExchanger: 2-D moves need at least one supply net");
 
+  IncrementalCost state(*package_, initial, options_.cost.lambda,
+                        options_.cost.rho, options_.cost.phi);
   const ExchangeOptimizer evaluator(*package_, options_.cost);
   const IncreasedDensity id_tracker(*package_, initial);
-
-  PackageAssignment current = initial;
+  const PackageAssignment& current = state.assignment();
   double cur_cost = evaluator.cost(current, id_tracker);
 
   ExchangeResult result;
   result.ir_cost_before = evaluator.ir_cost(initial);
-  result.omega_before = omega_zero_bits(initial.ring_order(), netlist, tiers);
+  result.omega_before = state.omega();
 
   long long evaluated = 0;
   long long applied = 0;
@@ -51,8 +38,8 @@ ExchangeResult GreedyExchanger::optimize(
     int best_left = -1;
     double best_cost = cur_cost;
     for (int qi = 0; qi < package_->quadrant_count(); ++qi) {
-      const Quadrant& quadrant = package_->quadrant(qi);
-      auto& order = current.quadrants[static_cast<std::size_t>(qi)].order;
+      const auto& order =
+          current.quadrants[static_cast<std::size_t>(qi)].order;
       for (int a = 0; a + 1 < static_cast<int>(order.size()); ++a) {
         const NetId left = order[static_cast<std::size_t>(a)];
         const NetId right = order[static_cast<std::size_t>(a + 1)];
@@ -61,14 +48,12 @@ ExchangeResult GreedyExchanger::optimize(
             !is_supply(netlist.net(right).type)) {
           continue;
         }
-        if (quadrant.net_row(left) == quadrant.net_row(right)) continue;
+        if (!state.swap_legal(qi, a)) continue;
 
-        std::swap(order[static_cast<std::size_t>(a)],
-                  order[static_cast<std::size_t>(a + 1)]);
+        state.apply_swap(qi, a);
         ++evaluated;
         const double cost = evaluator.cost(current, id_tracker);
-        std::swap(order[static_cast<std::size_t>(a)],
-                  order[static_cast<std::size_t>(a + 1)]);
+        state.undo_last();
         if (cost < best_cost) {
           best_cost = cost;
           best_quadrant = qi;
@@ -77,10 +62,7 @@ ExchangeResult GreedyExchanger::optimize(
       }
     }
     if (best_quadrant < 0) break;  // local optimum
-    auto& order =
-        current.quadrants[static_cast<std::size_t>(best_quadrant)].order;
-    std::swap(order[static_cast<std::size_t>(best_left)],
-              order[static_cast<std::size_t>(best_left + 1)]);
+    state.apply_swap(best_quadrant, best_left);
     cur_cost = best_cost;
     ++applied;
   }
@@ -93,9 +75,9 @@ ExchangeResult GreedyExchanger::optimize(
   result.anneal.temperature_steps = passes;
 
   result.ir_cost_after = evaluator.ir_cost(current);
-  result.omega_after = omega_zero_bits(current.ring_order(), netlist, tiers);
-  result.increased_density = id_tracker.evaluate(current);
-  result.assignment = std::move(current);
+  result.omega_after = state.omega();
+  result.increased_density = state.increased_density();
+  result.assignment = current;
   return result;
 }
 

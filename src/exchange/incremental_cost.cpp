@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "route/legality.h"
 #include "util/error.h"
 
 namespace fp {
@@ -29,7 +30,16 @@ IncrementalCost::IncrementalCost(const Package& package,
   require(tier_count_ <= 32, "IncrementalCost: too many tiers");
   full_mask_ = tier_count_ == 32 ? ~0u : ((1u << tier_count_) - 1u);
 
+  position_.assign(package.netlist().size(), IPoint{-1, -1});
   for (int qi = 0; qi < package.quadrant_count(); ++qi) {
+    const QuadrantAssignment& qa =
+        current_.quadrants[static_cast<std::size_t>(qi)];
+    require(is_monotone_legal(package.quadrant(qi), qa),
+            "IncrementalCost: initial assignment is not monotone legal");
+    for (int f = 0; f < static_cast<int>(qa.order.size()); ++f) {
+      position_[static_cast<std::size_t>(
+          qa.order[static_cast<std::size_t>(f)])] = IPoint{qi, f};
+    }
     ring_offset_.push_back(package.ring_offset(qi));
   }
 
@@ -97,43 +107,48 @@ double IncrementalCost::current() const {
          phi_ * omega_;
 }
 
+bool IncrementalCost::swap_legal(int quadrant, int left_finger) const {
+  if (quadrant < 0 || quadrant >= package_->quadrant_count()) return false;
+  const auto& order =
+      current_.quadrants[static_cast<std::size_t>(quadrant)].order;
+  if (left_finger < 0 || left_finger + 1 >= static_cast<int>(order.size())) {
+    return false;
+  }
+  const Quadrant& q = package_->quadrant(quadrant);
+  return q.net_row(order[static_cast<std::size_t>(left_finger)]) !=
+         q.net_row(order[static_cast<std::size_t>(left_finger + 1)]);
+}
+
 void IncrementalCost::apply_swap(int quadrant, int left_finger) {
+  require(swap_legal(quadrant, left_finger),
+          "IncrementalCost: illegal swap (out of range or same-row pair)");
   swap_impl(quadrant, left_finger);
-  last_ = LastSwap{quadrant, left_finger};
+  journal_.push_back(Swap{quadrant, left_finger});
 }
 
-void IncrementalCost::undo_last() {
-  require(last_.quadrant >= 0, "IncrementalCost: nothing to undo");
-  swap_impl(last_.quadrant, last_.left);
-  last_ = LastSwap{};
+int IncrementalCost::undo_last() {
+  require(!journal_.empty(), "IncrementalCost: nothing to undo");
+  const Swap last = journal_.back();
+  journal_.pop_back();
+  swap_impl(last.quadrant, last.left_finger);
+  return last.quadrant;
 }
 
-std::unique_ptr<CostEvaluator> make_incremental_evaluator(
-    const Package& package, const PackageAssignment& initial, double lambda,
-    double rho, double phi) {
-  return std::make_unique<IncrementalCost>(package, initial, lambda, rho,
-                                           phi);
-}
-
+// The caller has checked swap_legal(): apply_swap() directly, undo_last()
+// by construction (swapping back a legal pair is legal).
 void IncrementalCost::swap_impl(int quadrant, int left_finger) {
-  require(quadrant >= 0 && quadrant < package_->quadrant_count(),
-          "IncrementalCost: quadrant out of range");
   auto& order = current_.quadrants[static_cast<std::size_t>(quadrant)].order;
-  require(left_finger >= 0 &&
-              left_finger + 1 < static_cast<int>(order.size()),
-          "IncrementalCost: finger out of range");
-
   const Quadrant& q = package_->quadrant(quadrant);
   const Netlist& netlist = package_->netlist();
   const NetId a = order[static_cast<std::size_t>(left_finger)];
   const NetId b = order[static_cast<std::size_t>(left_finger + 1)];
-  require(q.net_row(a) != q.net_row(b),
-          "IncrementalCost: same-row swap is illegal");
   const int p = ring_offset_[static_cast<std::size_t>(quadrant)] +
                 left_finger;
 
   std::swap(order[static_cast<std::size_t>(left_finger)],
             order[static_cast<std::size_t>(left_finger + 1)]);
+  position_[static_cast<std::size_t>(a)] = IPoint{quadrant, left_finger + 1};
+  position_[static_cast<std::size_t>(b)] = IPoint{quadrant, left_finger};
 
   // --- dispersion: exactly one supply net moves by one slot -------------
   const bool sa = is_supply(netlist.net(a).type);

@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "route/global_router.h"
-#include "route/legality.h"
 #include "util/error.h"
 
 namespace fp {
@@ -18,22 +17,12 @@ DesignSession::DesignSession(const Package& package,
       tier_count_(package.netlist().tier_count()),
       has_supply_(!package.netlist().supply_nets().empty()),
       initial_(std::move(initial)),
+      state_(package, initial_, options_.lambda, options_.rho, options_.phi),
       grid_(options_.grid_spec),
       ring_(package, options_.grid_spec.nodes_per_side) {
   require(options_.lambda >= 0.0 && options_.rho >= 0.0 &&
               options_.phi >= 0.0,
           "DesignSession: Eq.-(3) weights must be non-negative");
-  require(static_cast<int>(initial_.quadrants.size()) ==
-              package.quadrant_count(),
-          "DesignSession: assignment/package quadrant count mismatch");
-  for (int qi = 0; qi < package.quadrant_count(); ++qi) {
-    require(is_monotone_legal(
-                package.quadrant(qi),
-                initial_.quadrants[static_cast<std::size_t>(qi)]),
-            "DesignSession: initial assignment is not monotone legal");
-  }
-  cost_ = make_incremental_evaluator(package, initial_, options_.lambda,
-                                     options_.rho, options_.phi);
   quads_.resize(static_cast<std::size_t>(package.quadrant_count()));
   engine_ = CheckEngine(CheckEngineOptions{options_.check_config,
                                            options_.check_stage_mask});
@@ -41,6 +30,7 @@ DesignSession::DesignSession(const Package& package,
 
 std::optional<std::string> DesignSession::swap_illegal(
     int quadrant, int left_finger) const {
+  if (state_.swap_legal(quadrant, left_finger)) return std::nullopt;
   if (quadrant < 0 || quadrant >= package_->quadrant_count()) {
     return "quadrant " + std::to_string(quadrant) + " out of range [0, " +
            std::to_string(package_->quadrant_count()) + ")";
@@ -53,17 +43,11 @@ std::optional<std::string> DesignSession::swap_illegal(
            " out of range [0, " + std::to_string(order.size()) +
            " - 1) for quadrant " + std::to_string(quadrant);
   }
-  const Quadrant& q = package_->quadrant(quadrant);
-  const NetId a = order[static_cast<std::size_t>(left_finger)];
-  const NetId b = order[static_cast<std::size_t>(left_finger + 1)];
-  if (q.net_row(a) == q.net_row(b)) {
-    return "fingers " + std::to_string(left_finger) + "," +
-           std::to_string(left_finger + 1) + " of quadrant " +
-           std::to_string(quadrant) +
-           " hold same-row nets; the swap would reverse their via order "
-           "(monotone rule)";
-  }
-  return std::nullopt;
+  return "fingers " + std::to_string(left_finger) + "," +
+         std::to_string(left_finger + 1) + " of quadrant " +
+         std::to_string(quadrant) +
+         " hold same-row nets; the swap would reverse their via order "
+         "(monotone rule)";
 }
 
 void DesignSession::touch(int quadrant) {
@@ -76,20 +60,15 @@ void DesignSession::touch(int quadrant) {
 void DesignSession::apply_swap(int quadrant, int left_finger) {
   const std::optional<std::string> why = swap_illegal(quadrant, left_finger);
   require(!why, "DesignSession::apply_swap: " + why.value_or(""));
-  cost_->apply_swap(quadrant, left_finger);
-  journal_.emplace_back(quadrant, left_finger);
+  state_.apply_swap(quadrant, left_finger);
   touch(quadrant);
   ++stats_.swaps;
   if (obs::metrics_enabled()) obs::count("session.swaps");
 }
 
 bool DesignSession::undo() {
-  if (journal_.empty()) return false;
-  const auto [quadrant, left_finger] = journal_.back();
-  journal_.pop_back();
-  // An adjacent swap is an involution: undo = re-apply the same swap.
-  cost_->apply_swap(quadrant, left_finger);
-  touch(quadrant);
+  if (state_.swap_count() == 0) return false;
+  touch(state_.undo_last());
   ++stats_.undos;
   if (obs::metrics_enabled()) obs::count("session.undos");
   return true;
@@ -141,7 +120,7 @@ const std::vector<std::vector<int>>& DesignSession::density_rows(
 CheckContext DesignSession::make_context() const {
   CheckContext context;
   context.package = package_;
-  context.assignment = &cost_->assignment();
+  context.assignment = &state_.assignment();
   context.strategy = options_.routing;
   context.grid_spec = options_.grid_spec;
   context.solver = options_.solver;
@@ -153,10 +132,10 @@ SessionEvaluation DesignSession::evaluate(
     const SessionEvaluateOptions& what) {
   const obs::ScopedSpan span("session.evaluate", "session");
   SessionEvaluation ev;
-  ev.cost = cost_->current();
-  ev.dispersion = cost_->dispersion();
-  ev.increased_density = cost_->increased_density();
-  ev.omega = cost_->omega();
+  ev.cost = state_.current();
+  ev.dispersion = state_.dispersion();
+  ev.increased_density = state_.increased_density();
+  ev.omega = state_.omega();
   for (int qi = 0; qi < package_->quadrant_count(); ++qi) {
     const QuadCache& cache = ensure_quadrant(qi);
     ev.max_density = std::max(ev.max_density, cache.max_density);

@@ -6,9 +6,10 @@
 // DRC verdict back after every finger/pad swap. DesignSession owns that
 // mutable state and propagates deltas instead of recomputing:
 //
-//   * Eq.-(3) cost     -- the shared CostEvaluator delta path
-//                         (exchange/cost_evaluator.h): O(log alpha) per
-//                         swap, the same evaluator the SA loop drives.
+//   * Eq.-(3) cost     -- the swap engine (exchange/incremental_cost.h)
+//                         that the SA loop and greedy also drive: it owns
+//                         the order, the undo journal and the Eq.-(3)
+//                         terms, updated per swap without a rescan.
 //   * congestion map   -- per-quadrant DensityMap/flyline caches; a swap
 //                         invalidates only its own quadrant, so evaluate
 //                         rebuilds O(affected-quadrant) instead of the
@@ -34,14 +35,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/engine.h"
-#include "exchange/cost_evaluator.h"
+#include "exchange/incremental_cost.h"
 #include "geom/grid2d.h"
 #include "package/assignment.h"
 #include "package/package.h"
@@ -128,9 +127,9 @@ class DesignSession {
   [[nodiscard]] const Package& package() const { return *package_; }
   [[nodiscard]] const SessionOptions& options() const { return options_; }
 
-  /// The evolving assignment (owned by the shared cost evaluator).
+  /// The evolving assignment (owned by the swap engine).
   [[nodiscard]] const PackageAssignment& assignment() const {
-    return cost_->assignment();
+    return state_.assignment();
   }
   /// The load-time assignment (the Eq.-(2) baseline).
   [[nodiscard]] const PackageAssignment& initial() const { return initial_; }
@@ -152,10 +151,12 @@ class DesignSession {
   bool undo();
 
   /// Swaps currently applied (journal depth).
-  [[nodiscard]] std::size_t swap_count() const { return journal_.size(); }
+  [[nodiscard]] std::size_t swap_count() const {
+    return state_.swap_count();
+  }
 
   /// The delta-maintained Eq.-(3) cost of the current assignment (O(1)).
-  [[nodiscard]] double cost() const { return cost_->current(); }
+  [[nodiscard]] double cost() const { return state_.current(); }
 
   /// Incremental evaluation of the current assignment: cached quadrant
   /// maps, warm-started IR solve, dirty-rule-only checks.
@@ -198,8 +199,7 @@ class DesignSession {
   int tier_count_;
   bool has_supply_;
   PackageAssignment initial_;
-  std::unique_ptr<CostEvaluator> cost_;
-  std::vector<std::pair<int, int>> journal_;  // (quadrant, left_finger)
+  IncrementalCost state_;
   std::vector<QuadCache> quads_;
   PowerGrid grid_;
   PadRing ring_;

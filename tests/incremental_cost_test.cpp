@@ -1,7 +1,11 @@
-// Property tests of the incremental Eq.-(3) evaluator: after any sequence
-// of random legal adjacent swaps (and undos), every term must equal the
-// full recomputation on the same order.
+// Property tests of the swap engine: after any sequence of random legal
+// adjacent swaps and multi-level undos, every Eq.-(3) term must equal the
+// full recomputation on the same order, and the position index must
+// match the order.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "assign/dfa.h"
 #include "exchange/exchange.h"
@@ -40,6 +44,19 @@ void check_equivalence(const Package& package,
   (void)initial;
 }
 
+/// The position index names, for every net, the finger that holds it.
+void check_positions(const IncrementalCost& incremental) {
+  const PackageAssignment& current = incremental.assignment();
+  for (std::size_t qi = 0; qi < current.quadrants.size(); ++qi) {
+    const auto& order = current.quadrants[qi].order;
+    for (std::size_t f = 0; f < order.size(); ++f) {
+      const IPoint pos = incremental.position(order[f]);
+      ASSERT_EQ(pos.x, static_cast<int>(qi)) << "net " << order[f];
+      ASSERT_EQ(pos.y, static_cast<int>(f)) << "net " << order[f];
+    }
+  }
+}
+
 class IncrementalSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
@@ -50,33 +67,48 @@ TEST_P(IncrementalSweep, MatchesFullRecomputation) {
   const IncreasedDensity baseline(package, initial);
   IncrementalCost incremental(package, initial, 20.0, 2.0, 1.0);
   check_equivalence(package, initial, incremental, baseline);
+  check_positions(incremental);
 
   Rng rng(seed * 77 + 1);
   int applied = 0;
-  for (int step = 0; step < 400; ++step) {
-    const int qi = static_cast<int>(rng.index(
-        static_cast<std::size_t>(package.quadrant_count())));
-    const Quadrant& q = package.quadrant(qi);
-    const auto& order =
-        incremental.assignment().quadrants[static_cast<std::size_t>(qi)]
-            .order;
-    const int left = static_cast<int>(rng.index(order.size() - 1));
-    const NetId a = order[static_cast<std::size_t>(left)];
-    const NetId b = order[static_cast<std::size_t>(left + 1)];
-    if (q.net_row(a) == q.net_row(b)) continue;  // illegal move, skip
+  // history[i] = ring order before the i-th journalled swap.
+  std::vector<std::vector<NetId>> history;
+  for (int step = 0; step < 1500; ++step) {
+    if (!history.empty() && step % 11 == 0) {
+      // Undo several levels deep; each undo restores the order saved
+      // before the swap it reverts.
+      const std::size_t depth =
+          1 + rng.index(std::min<std::size_t>(history.size(), 6));
+      for (std::size_t d = 0; d < depth; ++d) {
+        incremental.undo_last();
+        ASSERT_EQ(incremental.assignment().ring_order(), history.back());
+        history.pop_back();
+      }
+    } else {
+      const int qi = static_cast<int>(rng.index(
+          static_cast<std::size_t>(package.quadrant_count())));
+      const Quadrant& q = package.quadrant(qi);
+      const auto& order =
+          incremental.assignment().quadrants[static_cast<std::size_t>(qi)]
+              .order;
+      const int left = static_cast<int>(rng.index(order.size() - 1));
+      const NetId a = order[static_cast<std::size_t>(left)];
+      const NetId b = order[static_cast<std::size_t>(left + 1)];
+      const bool legal = q.net_row(a) != q.net_row(b);
+      ASSERT_EQ(incremental.swap_legal(qi, left), legal);
+      if (!legal) continue;  // illegal move, skip
 
-    incremental.apply_swap(qi, left);
-    ++applied;
-    if (step % 5 == 0) {
-      // Occasionally undo and re-apply to exercise that path.
-      incremental.undo_last();
+      history.push_back(incremental.assignment().ring_order());
       incremental.apply_swap(qi, left);
+      ++applied;
     }
+    ASSERT_EQ(incremental.swap_count(), history.size());
+    check_positions(incremental);
     if (step % 7 == 0) {
       check_equivalence(package, initial, incremental, baseline);
     }
   }
-  EXPECT_GT(applied, 100);
+  EXPECT_GT(applied, 300);
   check_equivalence(package, initial, incremental, baseline);
 
   // Eq.-(3) composition matches the optimizer's full evaluation.
@@ -111,7 +143,9 @@ TEST(IncrementalCost, SameRowSwapRejected) {
   for (int left = 0; left + 1 < static_cast<int>(order.size()); ++left) {
     if (q.net_row(order[static_cast<std::size_t>(left)]) ==
         q.net_row(order[static_cast<std::size_t>(left + 1)])) {
+      EXPECT_FALSE(incremental.swap_legal(0, left));
       EXPECT_THROW(incremental.apply_swap(0, left), InvalidArgument);
+      EXPECT_EQ(incremental.swap_count(), 0u);
       return;
     }
   }
