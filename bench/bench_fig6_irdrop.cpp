@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
     std::size_t index = 0;
     int old_slot = 0;
     int new_slot = 0;
-  } last;
+  };
+  std::vector<Move> moves;  // undo pops these newest first
   SaSchedule schedule;
   schedule.initial_temperature = 0.004;
   schedule.final_temperature = 1e-5;
@@ -109,13 +110,15 @@ int main(int argc, char** argv) {
         const std::size_t index = r.index(plan.size());
         const int target = static_cast<int>(r.index(kRingSlots));
         if (in_use.count(target)) return std::nullopt;
-        last = Move{index, plan[index], target};
+        moves.push_back(Move{index, plan[index], target});
         in_use.erase(plan[index]);
         in_use.insert(target);
         plan[index] = target;
         return score(grid, plan);
       },
       [&]() {
+        const Move last = moves.back();
+        moves.pop_back();
         in_use.erase(last.new_slot);
         in_use.insert(last.old_slot);
         plan[last.index] = last.old_slot;

@@ -1,6 +1,5 @@
 #include "exchange/annealer.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -57,11 +56,15 @@ AnnealResult Annealer::run(double initial_cost, const TryMove& try_move,
   result.best_cost = initial_cost;
 
   double cost = initial_cost;
+  // Accepted moves since the newest state whose cost is <= best_cost
+  // (ties move the mark to the later state). They are undone before the
+  // run returns, so the caller is left holding the best state.
+  long long since_best = 0;
   for (double temperature = schedule_.initial_temperature;
        temperature > schedule_.final_temperature;
        temperature *= schedule_.cooling) {
-    // Budget and fault gates: stop cooling and hand back the best-so-far
-    // state (the caller's state is the last accepted configuration).
+    // Budget and fault gates: stop cooling; the rewind below hands back
+    // the best-so-far state.
     if (schedule_.cancel && schedule_.cancel->expired()) {
       result.stop = AnnealStop::BudgetExpired;
       break;
@@ -122,14 +125,20 @@ AnnealResult Annealer::run(double initial_cost, const TryMove& try_move,
       if (accept) {
         ++result.accepted;
         cost = *new_cost;
-        result.best_cost = std::min(result.best_cost, cost);
+        if (cost <= result.best_cost) {
+          result.best_cost = cost;
+          since_best = 0;
+        } else {
+          ++since_best;
+        }
       } else {
         undo();
       }
     }
     if (result.stop != AnnealStop::Completed) break;
   }
-  result.final_cost = cost;
+  for (; since_best > 0; --since_best) undo();
+  result.final_cost = result.best_cost;
   if (obs::metrics_enabled()) {
     const std::string& p = schedule_.metric_prefix;
     obs::count(p + ".runs");

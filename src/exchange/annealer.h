@@ -44,8 +44,8 @@ struct SaSchedule {
   /// plain "sa." names afterwards (see ExchangeOptimizer).
   std::string metric_prefix = "sa";
   /// Cooperative deadline polled every temperature step and every 64
-  /// proposals; on expiry the run stops with its best-so-far state and
-  /// AnnealResult::stop = BudgetExpired. Non-owning; null = unlimited.
+  /// proposals; on expiry the run stops, returns its best-so-far state and
+  /// sets AnnealResult::stop = BudgetExpired. Non-owning; null = unlimited.
   const CancelToken* cancel = nullptr;
 };
 
@@ -72,6 +72,8 @@ struct AnnealSample {
 
 struct AnnealResult {
   double initial_cost = 0.0;
+  /// Cost of the returned state. The run rewinds to the best state it
+  /// saw, so this equals best_cost.
   double final_cost = 0.0;
   double best_cost = 0.0;
   long long proposed = 0;
@@ -79,8 +81,8 @@ struct AnnealResult {
   long long rejected_illegal = 0;
   int temperature_steps = 0;
   /// Completed on the healthy path; BudgetExpired/FaultInjected when the
-  /// run degraded to its best-so-far state (the caller's state is still a
-  /// legal configuration -- every accepted move kept the invariants).
+  /// run stopped early (the caller's state is still its best-so-far, legal
+  /// configuration -- every accepted move kept the invariants).
   AnnealStop stop = AnnealStop::Completed;
   /// Non-empty when SaSchedule::record_every > 0.
   std::vector<AnnealSample> trace;
@@ -92,13 +94,16 @@ class Annealer {
   /// new total cost, or nullopt when the sampled move is illegal (state
   /// unchanged).
   using TryMove = std::function<std::optional<double>(Rng&)>;
-  /// Reverts the last successful TryMove.
+  /// Reverts the newest successful TryMove not yet reverted. run() calls
+  /// it right after each rejected move and, before it returns, once per
+  /// accepted move made after the best state, so it must act as a stack.
   using Undo = std::function<void()>;
 
   explicit Annealer(SaSchedule schedule);
 
-  /// Runs the schedule; on return the caller's state holds the last
-  /// accepted configuration.
+  /// Runs the schedule; on return the caller's state holds the best
+  /// configuration seen (the newest one on ties), whose cost is
+  /// AnnealResult::final_cost.
   AnnealResult run(double initial_cost, const TryMove& try_move,
                    const Undo& undo) const;
 
