@@ -165,36 +165,40 @@ FlowResult CodesignFlow::run(const Package& package) const {
     record_stage("assign", stage);
   }
 
+  // The analysis stage run before and after the exchange: density and
+  // flyline, the IR solve (a solver failure or injected fault degrades
+  // to an empty report), bonding, then the stage record.
   const bool has_supply = !package.netlist().supply_nets().empty();
-  {
+  const auto analyze = [&](const char* stage_name, const char* span_name,
+                           const PackageAssignment& assignment, int& density,
+                           double& flyline_um, IrReport& ir,
+                           BondingWireReport& bonding) {
     const Timer stage;
-    const obs::ScopedSpan span("flow.analyze.initial", "flow");
-    if (obs::progress_enabled()) obs::progress_stage("analyze_initial");
+    const obs::ScopedSpan span(span_name, "flow");
+    if (obs::progress_enabled()) obs::progress_stage(stage_name);
     const CancelToken stage_token = run_token.child(budget.analyze_s);
-    result.max_density_initial =
-        max_density(package, result.initial, options_.routing);
-    result.flyline_initial_um = total_flyline_um(package, result.initial);
+    density = max_density(package, assignment, options_.routing);
+    flyline_um = total_flyline_um(package, assignment);
     if (has_supply) {
       SolverOptions solver = options_.solver;
       if (cancellable) solver.cancel = &stage_token;
       try {
-        result.ir_initial =
-            analyze_ir(package, result.initial, options_.grid_spec, solver);
-        note_ir("analyze_initial", result.ir_initial);
+        ir = analyze_ir(package, assignment, options_.grid_spec, solver);
+        note_ir(stage_name, ir);
       } catch (const SolverError& error) {
-        result.ir_initial = IrReport{};
-        degrade("analyze_initial", DegradeReason::AnalysisFailed,
-                error.describe());
+        ir = IrReport{};
+        degrade(stage_name, DegradeReason::AnalysisFailed, error.describe());
       } catch (const fault::FaultInjected& error) {
-        result.ir_initial = IrReport{};
-        degrade("analyze_initial", DegradeReason::AnalysisFailed,
-                error.describe());
+        ir = IrReport{};
+        degrade(stage_name, DegradeReason::AnalysisFailed, error.describe());
       }
     }
-    result.bonding_initial =
-        analyze_bonding(package, result.initial, options_.stacking);
-    record_stage("analyze_initial", stage);
-  }
+    bonding = analyze_bonding(package, assignment, options_.stacking);
+    record_stage(stage_name, stage);
+  };
+  analyze("analyze_initial", "flow.analyze.initial", result.initial,
+          result.max_density_initial, result.flyline_initial_um,
+          result.ir_initial, result.bonding_initial);
 
   // --- step 2: finger/pad exchange ---------------------------------------
   {
@@ -249,35 +253,9 @@ FlowResult CodesignFlow::run(const Package& package) const {
     record_stage("exchange", stage);
   }
 
-  {
-    const Timer stage;
-    const obs::ScopedSpan span("flow.analyze.final", "flow");
-    if (obs::progress_enabled()) obs::progress_stage("analyze_final");
-    result.max_density_final =
-        max_density(package, result.final, options_.routing);
-    result.flyline_final_um = total_flyline_um(package, result.final);
-    const CancelToken stage_token = run_token.child(budget.analyze_s);
-    if (has_supply) {
-      SolverOptions solver = options_.solver;
-      if (cancellable) solver.cancel = &stage_token;
-      try {
-        result.ir_final =
-            analyze_ir(package, result.final, options_.grid_spec, solver);
-        note_ir("analyze_final", result.ir_final);
-      } catch (const SolverError& error) {
-        result.ir_final = IrReport{};
-        degrade("analyze_final", DegradeReason::AnalysisFailed,
-                error.describe());
-      } catch (const fault::FaultInjected& error) {
-        result.ir_final = IrReport{};
-        degrade("analyze_final", DegradeReason::AnalysisFailed,
-                error.describe());
-      }
-    }
-    result.bonding_final =
-        analyze_bonding(package, result.final, options_.stacking);
-    record_stage("analyze_final", stage);
-  }
+  analyze("analyze_final", "flow.analyze.final", result.final,
+          result.max_density_final, result.flyline_final_um, result.ir_final,
+          result.bonding_final);
 
   // An interrupt is attributed once, at the run level: the stage-level
   // events above already say what was cut short, this one says *why* so
@@ -339,7 +317,8 @@ BatchResult run_flow_batch(const Package& package,
     out.label = std::move(jobs[i].label);
     // One span per job, named by slot: a batch trace reads as
     // "flow.batch.job3" blocks fanned across the worker tracks.
-    const obs::ScopedSpan span("flow.batch.job" + std::to_string(i), "flow");
+    const obs::ScopedSpan job_span("flow.batch.job" + std::to_string(i),
+                                   "flow");
     // Graceful-drain contract (docs/ROBUSTNESS.md): once the process has
     // taken a SIGINT/SIGTERM, jobs that have not started yet are skipped
     // outright -- only the in-flight ones run to their best-so-far end.

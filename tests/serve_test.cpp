@@ -105,8 +105,8 @@ TEST(Protocol, TypedParamAccessors) {
   EXPECT_EQ(param_int(params, "i", 0), 4);
   EXPECT_EQ(param_string(params, "s", ""), "hi");
   EXPECT_EQ(param_int(params, "missing", 9), 9);
-  EXPECT_THROW(param_int(params, "n", 0), ProtocolError);   // 2.5
-  EXPECT_THROW(param_bool(params, "i", false), ProtocolError);
+  EXPECT_THROW((void)param_int(params, "n", 0), ProtocolError);  // 2.5
+  EXPECT_THROW((void)param_bool(params, "i", false), ProtocolError);
   EXPECT_THROW(param_string_required(params, "missing"), ProtocolError);
 }
 
