@@ -75,6 +75,10 @@ struct BadInput {
   const char* text;
 };
 
+// Prints the label, so each case is listed under a fixed name instead of
+// the bytes of its two pointers (which change from build to build).
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.label; }
+
 class MalformedCircuit : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(MalformedCircuit, Rejected) {
