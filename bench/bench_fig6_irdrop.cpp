@@ -10,7 +10,8 @@
 //   B  evenly spaced slots,
 //   C  simulated annealing over slot selections scored by exact solves.
 // The published ordering A > B > C is the reproduction target; C beats B
-// because even spacing ignores the hotspots.
+// because even spacing ignores the hotspots. The harness exits 1 when the
+// ordering misses (ctest label `paper_shapes`).
 #include <cstdio>
 
 #include <optional>
