@@ -63,8 +63,14 @@ class Parser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kJsonMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+      }
+      Json value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return Json::string(parse_string());
     if (consume_literal("true")) return Json::boolean(true);
     if (consume_literal("false")) return Json::boolean(false);
@@ -215,6 +221,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

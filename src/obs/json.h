@@ -69,8 +69,14 @@ class Json {
   std::map<std::string, Json> object_;
 };
 
+/// Deepest array/object nesting json_parse accepts. The parser recurses
+/// once per level, so a bound keeps hostile input from overflowing the
+/// stack; the deepest document fpkit writes (SARIF) nests 9 levels.
+inline constexpr int kJsonMaxDepth = 256;
+
 /// Parses a complete strict-JSON document; throws InvalidArgument (with
-/// the byte offset) on any syntax error or trailing garbage.
+/// the byte offset) on any syntax error, trailing garbage or nesting
+/// deeper than kJsonMaxDepth.
 [[nodiscard]] Json json_parse(std::string_view text);
 
 /// Reads and parses `path`; throws IoError when unreadable and

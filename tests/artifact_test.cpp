@@ -1,10 +1,13 @@
 // Run-artifact layer (obs/artifact.h, docs/ARTIFACTS.md): the canonical
-// JSON value/parser/writer, manifest round trips, the compare gating
+// JSON value/parser/writer and its nesting bound (end to end through the
+// real fpkit binary too), manifest round trips, the compare gating
 // semantics behind `fpkit compare`, and the `fpkit batch --jobs-file`
 // parser.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -14,6 +17,10 @@
 #include "obs/artifact.h"
 #include "obs/json.h"
 #include "util/error.h"
+
+#ifndef FPKIT_CLI_PATH
+#define FPKIT_CLI_PATH ""
+#endif
 
 namespace fp {
 namespace {
@@ -51,6 +58,66 @@ TEST(ArtifactJson, StrictParserRejectsMalformedDocuments) {
   EXPECT_THROW((void)obs::json_parse(""), InvalidArgument);
   EXPECT_THROW((void)obs::json_parse("{'a':1}"), InvalidArgument);
   EXPECT_THROW((void)obs::json_parse("{\"a\"}"), InvalidArgument);
+}
+
+/// `depth` nested arrays: "[[...]]".
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+/// `depth` nested objects: {"a":{"a":...{}}}.
+std::string nested_objects(int depth) {
+  std::string text;
+  for (int i = 1; i < depth; ++i) text += "{\"a\":";
+  text += "{}";
+  return text + std::string(static_cast<std::size_t>(depth - 1), '}');
+}
+
+TEST(ArtifactJson, NestingDepthIsBounded) {
+  // The parser recurses once per level: kJsonMaxDepth levels parse, one
+  // more is malformed input, and a 50,000-deep line is rejected instead
+  // of overflowing the stack.
+  EXPECT_NO_THROW((void)obs::json_parse(nested_arrays(obs::kJsonMaxDepth)));
+  EXPECT_NO_THROW((void)obs::json_parse(nested_objects(obs::kJsonMaxDepth)));
+  EXPECT_THROW((void)obs::json_parse(nested_arrays(obs::kJsonMaxDepth + 1)),
+               InvalidArgument);
+  EXPECT_THROW((void)obs::json_parse(nested_objects(obs::kJsonMaxDepth + 1)),
+               InvalidArgument);
+  EXPECT_THROW((void)obs::json_parse(nested_arrays(50000)), InvalidArgument);
+  EXPECT_THROW((void)obs::json_parse(nested_objects(50000)), InvalidArgument);
+  // Depth counts open containers, not total containers.
+  std::string wide = "[";
+  for (int i = 0; i < 2 * obs::kJsonMaxDepth; ++i) wide += "[[]],";
+  wide += "[]]";
+  EXPECT_NO_THROW((void)obs::json_parse(wide));
+}
+
+/// Exit code of the real fpkit binary run with `args` (output discarded).
+int run_fpkit(const std::string& args) {
+  const std::string command =
+      std::string(FPKIT_CLI_PATH) + " " + args + " > /dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ArtifactJson, DeeplyNestedInputsExitTwo) {
+  // A 50,000-deep document used to crash `compare` (as a manifest) and
+  // `dash --profile` (as a trace) with SIGSEGV; it is bad input (exit 2).
+  ASSERT_FALSE(std::string(FPKIT_CLI_PATH).empty());
+  const std::string dir = ::testing::TempDir() + "json_deep";
+  std::filesystem::remove_all(dir);
+  for (const std::string run : {"/a", "/b"}) {
+    std::filesystem::create_directories(dir + run);
+    std::ofstream(dir + run + "/manifest.json") << nested_arrays(50000);
+  }
+  std::ofstream(dir + "/trace.json") << nested_objects(50000);
+  EXPECT_EQ(run_fpkit("compare " + dir + "/a " + dir + "/b"), 2);
+  EXPECT_EQ(run_fpkit("dash --profile " + dir + "/trace.json --format text"),
+            2);
+  std::ofstream(dir + "/trace.json", std::ios::trunc) << nested_arrays(50000);
+  EXPECT_EQ(run_fpkit("dash --profile " + dir + "/trace.json --format text"),
+            2);
 }
 
 TEST(ArtifactJson, AccessorsEnforceKinds) {

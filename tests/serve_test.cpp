@@ -3,7 +3,8 @@
 // a scripted session, graceful cancellation, and -- end to end, driving
 // the real fpkit binary -- the acceptance property that an incremental
 // `evaluate` after a swap stream reports the same Eq.-(3) cost and the
-// identical check findings as a cold evaluation of the final assignment.
+// identical check findings as a cold evaluation of the final assignment,
+// and that a hostile, deeply nested request line is answered FP-PROTO.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -371,6 +372,40 @@ TEST(ServeCli, IncrementalEvaluateMatchesColdEndToEnd) {
   EXPECT_EQ(incremental->at("max_density").as_number(),
             cold->at("max_density").as_number());
   EXPECT_EQ(incremental->at("check").dump(), cold->at("check").dump());
+}
+
+/// A request line nested 50,000 deep used to overflow the parser's stack
+/// and kill the daemon (SIGSEGV). It is one malformed request: the daemon
+/// answers FP-PROTO and keeps serving.
+TEST(ServeCli, DeeplyNestedLineIsAProtocolError) {
+  const std::string cli = FPKIT_CLI_PATH;
+  ASSERT_FALSE(cli.empty());
+  const std::string dir = scratch_dir();
+  const std::string circuit = write_circuit(dir);
+  std::ofstream script(dir + "/script.jsonl");
+  script << load_request(circuit, 12) << "\n"
+         << std::string(50000, '[') << std::string(50000, ']') << "\n"
+         << R"({"id": 3, "method": "stats"})" << "\n"
+         << R"({"id": 4, "method": "shutdown"})" << "\n";
+  script.close();
+
+  const std::string command = cli + " serve < " + dir + "/script.jsonl > " +
+                              dir + "/out.jsonl 2> " + dir + "/err.txt";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);  // malformed traffic taints the exit
+
+  std::ifstream out(dir + "/out.jsonl");
+  const std::string text((std::istreambuf_iterator<char>(out)),
+                         std::istreambuf_iterator<char>());
+  const std::vector<Json> responses = parse_lines(text);
+  ASSERT_EQ(responses.size(), 4u);
+  EXPECT_TRUE(responses[0].at("ok").as_bool());
+  EXPECT_FALSE(responses[1].at("ok").as_bool());
+  EXPECT_EQ(responses[1].at("error").at("code").as_string(), "FP-PROTO");
+  EXPECT_TRUE(responses[2].at("ok").as_bool());
+  EXPECT_EQ(responses[2].at("id").as_number(), 3.0);
+  EXPECT_TRUE(responses[3].at("ok").as_bool());
 }
 
 }  // namespace
