@@ -6,6 +6,7 @@
 // scaling document (BENCH_parallel.json, see bench_common.h).
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <string_view>
 
 #include "assign/dfa.h"
@@ -75,9 +76,11 @@ void BM_Router(benchmark::State& state) {
 }
 BENCHMARK(BM_Router)->DenseRange(0, 4);
 
-void BM_Solver(benchmark::State& state) {
+/// One solve per backend and mesh size, labelled with the backend's
+/// to_string name.
+void BM_Solver(benchmark::State& state, SolverKind kind) {
   PowerGridSpec spec = bench::standard_grid();
-  spec.nodes_per_side = static_cast<int>(state.range(1));
+  spec.nodes_per_side = static_cast<int>(state.range(0));
   PowerGrid grid(spec);
   std::vector<IPoint> pads;
   for (int i = 0; i < 16; ++i) {
@@ -85,15 +88,19 @@ void BM_Solver(benchmark::State& state) {
   }
   grid.set_pads(pads);
   SolverOptions options;
-  options.kind = static_cast<SolverKind>(state.range(0));
+  options.kind = kind;
   options.tolerance = 1e-8;
+  state.SetLabel(std::string(to_string(kind)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(solve(grid, options));
   }
 }
-BENCHMARK(BM_Solver)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {16, 32, 48}})
-    ->ArgNames({"kind", "k"});
+BENCHMARK_CAPTURE(BM_Solver, sor, SolverKind::Sor)
+    ->ArgName("k")->DenseRange(16, 48, 16);
+BENCHMARK_CAPTURE(BM_Solver, cg, SolverKind::ConjugateGradient)
+    ->ArgName("k")->DenseRange(16, 48, 16);
+BENCHMARK_CAPTURE(BM_Solver, multigrid, SolverKind::Multigrid)
+    ->ArgName("k")->DenseRange(16, 48, 16);
 
 /// 128 x 128 CG solve at a fixed worker-pool size: the analyze-stage
 /// kernel whose dot products and axpy sweeps fan out over the pool.

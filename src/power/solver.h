@@ -2,17 +2,18 @@
 //
 // The system is the 5-point Laplacian with uniform link conductances,
 // Dirichlet (Vdd) pad nodes and Neumann die edges -- symmetric positive
-// definite on the free nodes as long as at least one pad exists. Four
-// back-ends are provided; they must agree within tolerance (a property the
-// test suite checks):
-//   * Jacobi          -- reference implementation, slowest;
-//   * GaussSeidel     -- classic relaxation;
-//   * Sor             -- Gauss-Seidel with over-relaxation (omega ~ 1.8);
+// definite on the free nodes as long as at least one pad exists. Every
+// back-end runs on one k x k row-major layout (pad mask, diagonal, Vdd
+// folded into the right-hand side) and reports the same relative
+// residual |b - Av| / |b|. Three back-ends are provided; the test suite
+// checks each against a dense Cholesky solve of the same system:
+//   * Sor             -- red-black Gauss-Seidel with over-relaxation
+//     (omega ~ 1.8; omega = 1 is plain Gauss-Seidel);
 //   * ConjugateGradient -- Jacobi-preconditioned CG, the default;
 //   * Multigrid       -- geometric V-cycles (Gauss-Seidel smoothing,
 //     full-weighting restriction, bilinear prolongation, pad mask injected
 //     to the coarse levels), in the spirit of the fast power-grid solvers
-//     the paper cites ([21], [22]); mesh-size-independent convergence.
+//     the paper cites ([21], [22]).
 #pragma once
 
 #include <string_view>
@@ -24,7 +25,7 @@
 
 namespace fp {
 
-enum class SolverKind { Jacobi, GaussSeidel, Sor, ConjugateGradient, Multigrid };
+enum class SolverKind { Sor, ConjugateGradient, Multigrid };
 
 [[nodiscard]] std::string_view to_string(SolverKind kind);
 
@@ -36,8 +37,8 @@ struct SolverOptions {
   /// Over-relaxation factor, used by Sor only.
   double sor_omega = 1.8;
   /// When the chosen backend diverges (NaN or blowing-up residual),
-  /// escalate through the fallback chain (ConjugateGradient -> Sor ->
-  /// GaussSeidel) instead of returning garbage; the attempt history lands
+  /// fall back to Sor (the chain is ConjugateGradient -> Sor) instead of
+  /// returning garbage; the attempt history lands
   /// in SolveResult::attempts. solve() throws SolverError when every
   /// backend in the chain diverges. Divergence never happens on the SPD
   /// meshes of power_grid.h, so this default does not change healthy
