@@ -121,7 +121,10 @@ std::string write_flow_report(const Package& package,
   const CutLineReport cutline = analyze_cut_lines(package, result.final);
   out += "* cut-line congestion: max " +
          std::to_string(cutline.max_density) + " (boundaries";
-  for (const int b : cutline.boundary_max) out += " " + std::to_string(b);
+  for (const int b : cutline.boundary_max) {
+    out += ' ';
+    out += std::to_string(b);
+  }
   out += ")\n";
   return out;
 }

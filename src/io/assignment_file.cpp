@@ -20,7 +20,8 @@ std::string write_assignment(const Package& package,
     out += "quadrant " + package.quadrant(qi).name();
     for (const NetId net :
          assignment.quadrants[static_cast<std::size_t>(qi)].order) {
-      out += " " + std::to_string(net);
+      out += ' ';
+      out += std::to_string(net);
     }
     out += "\n";
   }

@@ -87,7 +87,8 @@ std::string write_circuit(const Package& package) {
     for (int r = 0; r < quadrant.row_count(); ++r) {
       out += "row";
       for (const NetId net : quadrant.row_nets(r)) {
-        out += " " + std::to_string(net);
+        out += ' ';
+        out += std::to_string(net);
       }
       out += "\n";
     }

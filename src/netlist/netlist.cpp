@@ -19,7 +19,7 @@ std::string_view to_string(NetType type) {
 Netlist::Netlist(std::size_t count) {
   nets_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    add("N" + std::to_string(i));
+    add(std::string("N").append(std::to_string(i)));
   }
 }
 

@@ -118,7 +118,7 @@ Package CircuitGenerator::generate(const CircuitSpec& spec) {
         name = "VSS" + std::to_string(i);
         break;
       case NetType::Signal:
-        name = "N" + std::to_string(i);
+        name = std::string("N").append(std::to_string(i));
         break;
     }
     netlist.add(std::move(name), types[i], tiers[i]);

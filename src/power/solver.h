@@ -2,18 +2,19 @@
 //
 // The system is the 5-point Laplacian with uniform link conductances,
 // Dirichlet (Vdd) pad nodes and Neumann die edges -- symmetric positive
-// definite on the free nodes as long as at least one pad exists. Every
-// back-end runs on one k x k row-major layout (pad mask, diagonal, Vdd
-// folded into the right-hand side) and reports the same relative
-// residual |b - Av| / |b|. Three back-ends are provided; the test suite
-// checks each against a dense Cholesky solve of the same system:
-//   * Sor             -- red-black Gauss-Seidel with over-relaxation
-//     (omega ~ 1.8; omega = 1 is plain Gauss-Seidel);
-//   * ConjugateGradient -- Jacobi-preconditioned CG, the default;
-//   * Multigrid       -- geometric V-cycles (Gauss-Seidel smoothing,
-//     full-weighting restriction, bilinear prolongation, pad mask injected
-//     to the coarse levels), in the spirit of the fast power-grid solvers
-//     the paper cites ([21], [22]).
+// definite on the free nodes as long as at least one pad exists. Both
+// back-ends run on one k x k row-major layout (pad mask, diagonal, Vdd
+// folded into the right-hand side) and report the same relative
+// residual |b - Av| / |b|; the test suite checks each against a dense
+// Cholesky solve of the same system:
+//   * ConjugateGradient -- the default: CG preconditioned by one
+//     symmetric geometric-multigrid V-cycle (red-black Gauss-Seidel
+//     smoothing and its adjoint, bilinear prolongation and its exact
+//     transpose, symmetric sweep pairs on the coarsest level). Its
+//     iteration count stays nearly flat as the mesh refines, in the
+//     spirit of the fast power-grid solvers the paper cites ([21], [22]);
+//   * Sor -- red-black Gauss-Seidel with over-relaxation (omega ~ 1.8;
+//     omega = 1 is plain Gauss-Seidel), the fallback.
 #pragma once
 
 #include <string_view>
@@ -25,7 +26,7 @@
 
 namespace fp {
 
-enum class SolverKind { Sor, ConjugateGradient, Multigrid };
+enum class SolverKind { Sor, ConjugateGradient };
 
 [[nodiscard]] std::string_view to_string(SolverKind kind);
 
@@ -44,9 +45,9 @@ struct SolverOptions {
   /// meshes of power_grid.h, so this default does not change healthy
   /// results.
   bool fallback = true;
-  /// Cooperative deadline: the iteration loops poll it every few sweeps
-  /// and return best-so-far (stop = Budget, converged = false) on expiry.
-  /// Non-owning; null = unlimited.
+  /// Cooperative deadline: CG polls it every iteration, SOR every 8
+  /// sweeps; on expiry they return best-so-far (stop = Budget,
+  /// converged = false). Non-owning; null = unlimited.
   const CancelToken* cancel = nullptr;
   /// Optional warm start: a previous voltage field (k x k volts, e.g.
   /// SolveResult::voltage of the last solve on the same mesh) seeding the
@@ -55,8 +56,8 @@ struct SolverOptions {
   /// in a fraction of the cold iteration count; the converged answer is
   /// still driven to the same `tolerance`, so warm and cold results agree
   /// within it (the contract tests/session_test.cpp enforces). Null (the
-  /// default) keeps the cold start bit-identical to previous releases.
-  /// Non-owning; must match the grid's k x k shape when set.
+  /// default) is the cold start. Non-owning; must match the grid's k x k
+  /// shape when set.
   const Grid2D<double>* warm_start = nullptr;
 };
 

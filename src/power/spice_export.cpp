@@ -18,6 +18,20 @@ std::string fmt(double v) {
   return buffer;
 }
 
+/// Appends one element line: "<kind><index> <a> <b> <value>".
+void put_element(std::string& out, char kind, int index, const std::string& a,
+                 const std::string& b, double value) {
+  out += kind;
+  out += std::to_string(index);
+  out += ' ';
+  out += a;
+  out += ' ';
+  out += b;
+  out += ' ';
+  out += fmt(value);
+  out += '\n';
+}
+
 }  // namespace
 
 std::string write_spice_deck(const PowerGrid& grid,
@@ -36,12 +50,10 @@ std::string write_spice_deck(const PowerGrid& grid,
   for (int y = 0; y < k; ++y) {
     for (int x = 0; x < k; ++x) {
       if (x + 1 < k) {
-        out += "R" + std::to_string(++r_index) + " " + node(x, y) + " " +
-               node(x + 1, y) + " " + fmt(rx) + "\n";
+        put_element(out, 'R', ++r_index, node(x, y), node(x + 1, y), rx);
       }
       if (y + 1 < k) {
-        out += "R" + std::to_string(++r_index) + " " + node(x, y) + " " +
-               node(x, y + 1) + " " + fmt(ry) + "\n";
+        put_element(out, 'R', ++r_index, node(x, y), node(x, y + 1), ry);
       }
     }
   }
@@ -52,16 +64,15 @@ std::string write_spice_deck(const PowerGrid& grid,
       const double current = grid.node_current(x, y);
       if (current > 0.0) {
         // Load current flows from the node to ground.
-        out += "I" + std::to_string(++i_index) + " " + node(x, y) + " 0 " +
-               fmt(current) + "\n";
+        put_element(out, 'I', ++i_index, node(x, y), "0", current);
       }
     }
   }
 
   int v_index = 0;
   for (const IPoint pad : grid.pads()) {
-    out += "V" + std::to_string(++v_index) + " " + node(pad.x, pad.y) +
-           " 0 " + fmt(grid.spec().vdd) + "\n";
+    put_element(out, 'V', ++v_index, node(pad.x, pad.y), "0",
+                grid.spec().vdd);
   }
 
   out += ".op\n.end\n";

@@ -80,7 +80,10 @@ class Error : public std::runtime_error {
 
   /// "[FP-IO] message (at inner < outer)" -- the log/CLI rendering.
   [[nodiscard]] std::string describe() const {
-    std::string out = "[" + std::string(to_string(code_)) + "] " + what();
+    std::string out = "[";
+    out += to_string(code_);
+    out += "] ";
+    out += what();
     if (!context_.empty()) {
       out += " (at ";
       for (std::size_t i = 0; i < context_.size(); ++i) {

@@ -39,8 +39,8 @@ Package build(PackageGeometry geometry,
   std::vector<Quadrant> quadrants;
   int qi = 0;
   for (auto& rows : quadrant_rows) {
-    quadrants.emplace_back("q" + std::to_string(qi++), geometry,
-                           std::move(rows));
+    quadrants.emplace_back(std::string("q").append(std::to_string(qi++)),
+                           geometry, std::move(rows));
   }
   return Package("check", std::move(netlist), geometry,
                  std::move(quadrants));

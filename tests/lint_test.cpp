@@ -19,13 +19,13 @@ Package build(PackageGeometry geometry,
   for (std::size_t i = 0; i < count; ++i) {
     const NetType type = i < types.size() ? types[i] : NetType::Signal;
     const int tier = i < tiers.size() ? tiers[i] : 0;
-    netlist.add("n" + std::to_string(i), type, tier);
+    netlist.add(std::string("n").append(std::to_string(i)), type, tier);
   }
   std::vector<Quadrant> quadrants;
   int qi = 0;
   for (auto& rows : quadrant_rows) {
-    quadrants.emplace_back("q" + std::to_string(qi++), geometry,
-                           std::move(rows));
+    quadrants.emplace_back(std::string("q").append(std::to_string(qi++)),
+                           geometry, std::move(rows));
   }
   return Package("lint", std::move(netlist), geometry, std::move(quadrants));
 }

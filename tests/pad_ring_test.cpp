@@ -85,7 +85,7 @@ Netlist ring_netlist(const std::vector<int>& supply_positions, int size) {
   Netlist netlist;
   std::set<int> supply(supply_positions.begin(), supply_positions.end());
   for (int i = 0; i < size; ++i) {
-    netlist.add("n" + std::to_string(i),
+    netlist.add(std::string("n").append(std::to_string(i)),
                 supply.count(i) ? NetType::Power : NetType::Signal);
   }
   return netlist;

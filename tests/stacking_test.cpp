@@ -12,7 +12,8 @@ namespace {
 Netlist tiered_netlist(const std::vector<int>& tiers) {
   Netlist netlist;
   for (std::size_t i = 0; i < tiers.size(); ++i) {
-    netlist.add("n" + std::to_string(i), NetType::Signal, tiers[i]);
+    netlist.add(std::string("n").append(std::to_string(i)), NetType::Signal,
+                tiers[i]);
   }
   return netlist;
 }
