@@ -1,5 +1,6 @@
 #include "exec/thread_pool.h"
 
+#include <chrono>
 #include <string>
 
 #include "obs/trace.h"
@@ -14,6 +15,23 @@ thread_local bool g_in_region = false;
 }  // namespace detail
 
 bool in_parallel_region() { return detail::g_in_region; }
+
+namespace {
+
+/// How long a thread polls before it blocks on a condition variable.
+constexpr auto kSpin = std::chrono::microseconds(200);
+
+/// Polls `ready` (yielding the core between polls) until it holds or
+/// kSpin has passed; the caller then blocks as usual.
+template <typename Ready>
+void spin_until(const Ready& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  while (!ready() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int threads) : threads_(threads) {
   require(threads >= 1, "ThreadPool: thread count must be >= 1");
@@ -32,12 +50,17 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::drain(Job& job) {
+void ThreadPool::drain(Job& job, int first) {
   detail::g_in_region = true;
-  while (true) {
-    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.count) break;
-    if (!job.failed.load(std::memory_order_relaxed)) {
+  const auto blocks = static_cast<std::size_t>(job.blocks);
+  for (std::size_t step = 0; step < blocks; ++step) {
+    const std::size_t block = (static_cast<std::size_t>(first) + step) % blocks;
+    const std::size_t end = (block + 1) * job.count / blocks;
+    while (true) {
+      const std::size_t i =
+          job.cursors[block].next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= end) break;
+      if (job.failed.load(std::memory_order_relaxed)) continue;
       try {
         (*job.fn)(i);
       } catch (...) {
@@ -46,7 +69,6 @@ void ThreadPool::drain(Job& job) {
         job.failed.store(true, std::memory_order_relaxed);
       }
     }
-    job.completed.fetch_add(1, std::memory_order_acq_rel);
   }
   detail::g_in_region = false;
 }
@@ -57,18 +79,19 @@ void ThreadPool::worker_main(int index) {
   obs::set_thread_name("exec.worker" + std::to_string(index));
   std::uint64_t seen_generation = 0;
   while (true) {
+    spin_until([&] { return generation_.load() != seen_generation; });
     Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || (job_ != nullptr && generation_ != seen_generation);
-      });
+      work_cv_.wait(lock,
+                    [&] { return stop_ || generation_ != seen_generation; });
       if (stop_) return;
       seen_generation = generation_;
-      job = job_;
-      ++active_workers_;
+      job = job_;  // null when the job finished before this worker woke
+      if (job != nullptr) ++active_workers_;
     }
-    drain(*job);
+    if (job == nullptr) continue;
+    drain(*job, index);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       --active_workers_;
@@ -83,34 +106,49 @@ void ThreadPool::run(std::size_t count,
   if (detail::g_in_region || workers_.empty()) {
     // Nested or poolless: execute inline. Chunk arithmetic is identical
     // to the pooled path, only the scheduling differs.
+    Cursor cursor;
     Job job;
     job.fn = &fn;
     job.count = count;
+    job.cursors = &cursor;
     const bool was_in_region = detail::g_in_region;
-    drain(job);
+    drain(job, 0);
     detail::g_in_region = was_in_region;
     if (job.error) std::rethrow_exception(job.error);
     return;
   }
 
+  const auto blocks = static_cast<std::size_t>(threads_);
+  std::vector<Cursor> cursors(blocks);
+  for (std::size_t block = 0; block < blocks; ++block) {
+    cursors[block].next.store(block * count / blocks,
+                              std::memory_order_relaxed);
+  }
   Job job;
   job.fn = &fn;
   job.count = count;
+  job.blocks = threads_;
+  job.cursors = cursors.data();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     job_ = &job;
     ++generation_;
   }
   work_cv_.notify_all();
-  drain(job);
+  drain(job, 0);
+  // All chunks are claimed once drain() returns (the caller only exits
+  // when every block's cursor passed its end), so the job is withdrawn
+  // at once: a worker that wakes later has nothing to adopt. Waiting for
+  // the adopted workers to let go then guarantees every chunk finished
+  // and nobody touches the stack-allocated job afterwards.
   {
-    // All chunks are claimed once drain() returns (the caller only exits
-    // when `next` passed `count`), so waiting for the adopted workers to
-    // let go guarantees every chunk also finished and nobody touches the
-    // stack-allocated job afterwards.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    job_ = nullptr;
+  }
+  spin_until([&] { return active_workers_.load() == 0; });
+  {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&] { return active_workers_ == 0; });
-    job_ = nullptr;
   }
   if (job.error) std::rethrow_exception(job.error);
 }
