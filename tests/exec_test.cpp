@@ -181,6 +181,10 @@ TEST(ExecThreadPool, RunsEveryTaskOnceAndRethrows) {
   std::vector<int> hits(257, 0);
   pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const int h : hits) ASSERT_EQ(h, 1);
+  // Fewer tasks than threads: some threads' blocks of the job are empty.
+  std::vector<int> few(2, 0);
+  pool.run(few.size(), [&](std::size_t i) { ++few[i]; });
+  for (const int h : few) ASSERT_EQ(h, 1);
   EXPECT_THROW(pool.run(64,
                         [](std::size_t i) {
                           if (i == 33) throw SolverError("replica died");
