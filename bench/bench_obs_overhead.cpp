@@ -95,8 +95,14 @@ void save_artifact(const std::string& dir, const ModeResult& plain,
 
 }  // namespace
 
+constexpr Flag kFlags[] = {
+    {"out", "<dir>", "artefact directory"},
+    {"reps", "N", "timed repetitions per mode (default 5)"},
+    {"artifact-dir", "<dir>", "write an fpkit.run.v1 artifact"},
+};
+
 int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+  const ArgParser args(argc, argv, kFlags);
   bench::set_artefact_dir(args.get_string("out", ""));
   const int reps = static_cast<int>(args.get_int("reps", 5));
 

@@ -26,9 +26,15 @@ double time_us(const std::function<void()>& body, int repeats = 50) {
 
 }  // namespace
 
+constexpr fp::Flag kFlags[] = {
+    {"out", "<dir>", "artefact directory"},
+    {"json", "[path]", "write fpkit.bench.parallel.v1 (BENCH_parallel.json)"},
+    {"artifact-dir", "<dir>", "write an fpkit.run.v1 artifact"},
+};
+
 int main(int argc, char** argv) {
   using namespace fp;
-  const ArgParser args(argc, argv);
+  const ArgParser args(argc, argv, kFlags);
   bench::set_artefact_dir(args.get_string("out", ""));
 
   // --json [path] and/or --artifact-dir <dir>: run the parallel-scaling

@@ -154,8 +154,15 @@ void save_artifact(const std::string& dir,
 
 }  // namespace
 
+constexpr Flag kFlags[] = {
+    {"out", "<dir>", "artefact directory"},
+    {"swaps", "N", "swaps per session (default 48)"},
+    {"evaluate-every", "N", "swaps between evaluates (default 16)"},
+    {"artifact-dir", "<dir>", "write an fpkit.run.v1 artifact"},
+};
+
 int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+  const ArgParser args(argc, argv, kFlags);
   bench::set_artefact_dir(args.get_string("out", ""));
   const int swaps = static_cast<int>(args.get_int("swaps", 48));
   const int evaluate_every =

@@ -1,5 +1,4 @@
-// GEOM-*: package geometry and quadrant-structure sanity. Absorbs the
-// geometry half of the deprecated lint_package pass.
+// GEOM-*: package geometry and quadrant-structure sanity.
 #include "analysis/rules.h"
 #include "route/design_rules.h"
 

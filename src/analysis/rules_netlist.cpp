@@ -1,6 +1,5 @@
 // NET-*: netlist-level checks -- naming, supply distribution, tier
-// population. Absorbs the supply/tier half of the deprecated lint_package
-// pass.
+// population.
 #include <algorithm>
 #include <string>
 #include <unordered_set>

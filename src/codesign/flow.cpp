@@ -350,38 +350,29 @@ BatchResult run_flow_batch(const Package& package,
   return batch;
 }
 
-namespace {
-
-AssignmentMethod parse_job_method(const std::string& name, int line) {
-  if (name == "random") return AssignmentMethod::Random;
-  if (name == "ifa") return AssignmentMethod::Ifa;
-  if (name == "dfa") return AssignmentMethod::Dfa;
-  throw InvalidArgument("jobs file line " + std::to_string(line) +
-                        ": unknown method '" + name +
-                        "' (expected random|ifa|dfa)");
-}
-
-/// One key=value field of a jobs-file line, layered over the job options.
-void apply_job_field(FlowOptions& options, const std::string& key,
-                     const std::string& value, int line) {
-  const auto bad = [&](const std::string& what) -> InvalidArgument {
-    return InvalidArgument("jobs file line " + std::to_string(line) + ": " +
-                           what);
-  };
+void set_flow_option(FlowOptions& options, std::string_view key,
+                     std::string_view value) {
+  const std::string text(value);
   try {
     if (key == "method") {
-      options.method = parse_job_method(value, line);
+      if (value == "random") {
+        options.method = AssignmentMethod::Random;
+      } else if (value == "ifa") {
+        options.method = AssignmentMethod::Ifa;
+      } else if (value == "dfa") {
+        options.method = AssignmentMethod::Dfa;
+      } else {
+        throw InvalidArgument("unknown method '" + text +
+                              "' (expected random|ifa|dfa)");
+      }
     } else if (key == "seed") {
-      const std::uint64_t seed =
-          static_cast<std::uint64_t>(parse_int(value));
+      const std::uint64_t seed = static_cast<std::uint64_t>(parse_int(value));
       options.random_seed = seed;
       options.exchange.schedule.seed = seed;
     } else if (key == "restarts") {
-      options.exchange.schedule.restarts =
-          static_cast<int>(parse_int(value));
-      if (options.exchange.schedule.restarts < 1) {
-        throw bad("restarts must be >= 1");
-      }
+      options.exchange.schedule.restarts = static_cast<int>(parse_int(value));
+      require(options.exchange.schedule.restarts >= 1,
+              "restarts must be >= 1");
     } else if (key == "cut") {
       options.dfa_cut_line_n = static_cast<int>(parse_int(value));
     } else if (key == "mesh") {
@@ -393,13 +384,9 @@ void apply_job_field(FlowOptions& options, const std::string& key,
     } else if (key == "phi") {
       options.exchange.phi = parse_double(value);
     } else if (key == "exchange") {
-      if (value == "on") {
-        options.run_exchange = true;
-      } else if (value == "off") {
-        options.run_exchange = false;
-      } else {
-        throw bad("exchange must be on or off, got '" + value + "'");
-      }
+      require(value == "on" || value == "off",
+              "exchange must be on or off, got '" + text + "'");
+      options.run_exchange = value == "on";
     } else if (key == "budget") {
       options.budget.total_s = parse_double(value);
     } else if (key == "budget-exchange") {
@@ -407,23 +394,23 @@ void apply_job_field(FlowOptions& options, const std::string& key,
     } else if (key == "budget-analyze") {
       options.budget.analyze_s = parse_double(value);
     } else {
-      throw bad("unknown key '" + key + "'");
+      throw InvalidArgument(
+          std::string("unknown key '").append(key).append("'"));
     }
   } catch (const IoError&) {
     // parse_int/parse_double report generic malformed-number errors;
-    // re-point them at the offending line and field.
-    throw bad("malformed value '" + value + "' for key '" + key + "'");
+    // re-point them at the offending field.
+    throw InvalidArgument("malformed value '" + text + "' for key '" +
+                          std::string(key) + "'");
   }
 }
 
-}  // namespace
-
-std::vector<BatchJob> load_batch_jobs(const std::string& path,
-                                      const FlowOptions& base) {
-  std::ifstream file(path);
-  if (!file) {
-    throw IoError("load_batch_jobs: cannot open '" + path + "'");
-  }
+std::vector<BatchJob> parse_batch_jobs(std::istream& lines,
+                                       const FlowOptions& base,
+                                       std::string_view source) {
+  const auto where = [&](int line) {
+    return std::string(source) + " line " + std::to_string(line) + ": ";
+  };
   std::vector<BatchJob> jobs;
   // Labels key everything downstream -- batch report rows, jobs/job<i>
   // artifact matching, the farm journal -- so two jobs sharing one label
@@ -432,7 +419,7 @@ std::vector<BatchJob> load_batch_jobs(const std::string& path,
   std::map<std::string, int> label_lines;
   std::string text;
   int line_number = 0;
-  while (std::getline(file, text)) {
+  while (std::getline(lines, text)) {
     ++line_number;
     const std::string_view stripped = trim(text);
     if (stripped.empty() || stripped.front() == '#') continue;
@@ -443,16 +430,18 @@ std::vector<BatchJob> load_batch_jobs(const std::string& path,
       if (eq == std::string::npos) {
         // A bare token is the job's label; only one is allowed.
         if (!job.label.empty()) {
-          throw InvalidArgument(
-              "jobs file line " + std::to_string(line_number) +
-              ": second label token '" + token +
-              "' (fields must be key=value)");
+          throw InvalidArgument(where(line_number) + "second label token '" +
+                                token + "' (fields must be key=value)");
         }
         job.label = token;
         continue;
       }
-      apply_job_field(job.options, token.substr(0, eq), token.substr(eq + 1),
-                      line_number);
+      try {
+        set_flow_option(job.options, std::string_view(token).substr(0, eq),
+                        std::string_view(token).substr(eq + 1));
+      } catch (const InvalidArgument& error) {
+        throw InvalidArgument(where(line_number) + error.what());
+      }
     }
     if (job.label.empty()) {
       job.label = std::string(to_string(job.options.method)) + "/seed=" +
@@ -461,16 +450,23 @@ std::vector<BatchJob> load_batch_jobs(const std::string& path,
     }
     const auto [it, inserted] = label_lines.emplace(job.label, line_number);
     if (!inserted) {
-      throw InvalidArgument("jobs file line " + std::to_string(line_number) +
-                            ": duplicate job label '" + job.label +
-                            "' (first used on line " +
+      throw InvalidArgument(where(line_number) + "duplicate job label '" +
+                            job.label + "' (first used on line " +
                             std::to_string(it->second) + ")");
     }
     jobs.push_back(std::move(job));
   }
-  require(!jobs.empty(),
-          "load_batch_jobs: '" + path + "' contains no jobs");
+  require(!jobs.empty(), std::string(source) + " contains no jobs");
   return jobs;
+}
+
+std::vector<BatchJob> load_batch_jobs(const std::string& path,
+                                      const FlowOptions& base) {
+  std::ifstream file(path);
+  if (!file) {
+    throw IoError("load_batch_jobs: cannot open '" + path + "'");
+  }
+  return parse_batch_jobs(file, base, "jobs file '" + path + "'");
 }
 
 std::string CodesignFlow::summary(const Package& package,

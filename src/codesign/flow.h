@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exchange/exchange.h"
@@ -200,19 +202,29 @@ struct BatchResult {
 [[nodiscard]] BatchResult run_flow_batch(const Package& package,
                                          std::vector<BatchJob> jobs);
 
-/// Parses a `fpkit batch --jobs-file` job list: one job per line, blank
-/// lines and '#' comments skipped. Each line is an optional label token
-/// (the first token without '=') plus key=value fields layered over
-/// `base`:
+/// Sets one named flow option from its text form, the one parser behind
+/// `fpkit` flow flags and jobs-file fields. Keys: method (random|ifa|dfa),
+/// seed, restarts, cut, mesh, lambda, rho, phi, exchange (on|off),
+/// budget, budget-exchange, budget-analyze. Throws InvalidArgument on an
+/// unknown key or a malformed value.
+void set_flow_option(FlowOptions& options, std::string_view key,
+                     std::string_view value);
+
+/// Parses a job list: one job per line, blank lines and '#' comments
+/// skipped. Each line is an optional label token (the first token without
+/// '=') plus key=value set_flow_option fields layered over `base`:
 ///
 ///   baseline  method=dfa seed=1
 ///   stress    method=ifa seed=7 restarts=4 mesh=48 exchange=off
 ///
-/// Keys: method (random|ifa|dfa), seed, restarts, cut, mesh, lambda,
-/// rho, phi, exchange (on|off), budget, budget-exchange, budget-analyze.
-/// Unlabelled jobs get "<method>/seed=<seed>" like the --methods/--seeds
-/// cross product. Throws InvalidArgument (with the line number) on an
-/// unknown key or malformed value, IoError on an unreadable file.
+/// Unlabelled jobs get "<METHOD>/seed=<seed>". Throws InvalidArgument,
+/// naming `source` and the line, on a bad field or a duplicate label.
+[[nodiscard]] std::vector<BatchJob> parse_batch_jobs(std::istream& lines,
+                                                     const FlowOptions& base,
+                                                     std::string_view source);
+
+/// parse_batch_jobs over a `fpkit batch --jobs-file` file; throws IoError
+/// when it is unreadable.
 [[nodiscard]] std::vector<BatchJob> load_batch_jobs(const std::string& path,
                                                     const FlowOptions& base);
 

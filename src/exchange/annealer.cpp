@@ -74,18 +74,12 @@ AnnealResult Annealer::run(double initial_cost, const TryMove& try_move,
       break;
     }
     ++result.temperature_steps;
-    // One sample per recorded temperature step, fanned out to every sink:
-    // the AnnealResult::trace shim (record_every callers), the metrics
-    // series, and the trace counter track. The trace counter fires every
-    // step so a Perfetto view always shows the full cooling curve.
-    const bool record_shim =
-        schedule_.record_every > 0 &&
-        (result.temperature_steps - 1) % schedule_.record_every == 0;
-    if (record_shim) {
-      result.trace.push_back(AnnealSample{temperature, cost, result.accepted});
-    }
+    // The cooling curve: a metrics sample every record_every steps (every
+    // step when unset), and a trace counter every step so a Perfetto view
+    // always shows the full curve.
     if (obs::metrics_enabled() &&
-        (record_shim || schedule_.record_every <= 0)) {
+        (schedule_.record_every <= 0 ||
+         (result.temperature_steps - 1) % schedule_.record_every == 0)) {
       obs::sample(schedule_.metric_prefix + ".cooling", cooling_columns(),
                   {temperature, cost, static_cast<double>(result.accepted)});
     }

@@ -13,7 +13,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/cancel.h"
 #include "util/rng.h"
@@ -34,8 +33,9 @@ struct SaSchedule {
   /// wins, ties broken by the lowest replica index, so the winner is the
   /// same at every thread count. 1 = plain single-run annealing.
   int restarts = 1;
-  /// When > 0, one (temperature, cost) sample is recorded every
-  /// `record_every` temperature steps (for convergence plots).
+  /// When > 0, the "<metric_prefix>.cooling" metrics series (columns
+  /// temperature, cost, accepted_moves) takes one sample every
+  /// `record_every` temperature steps instead of every step.
   int record_every = 0;
   /// Prefix for every metric and trace-counter name this run emits
   /// ("sa" -> "sa.runs", "sa.cooling", ...). Multi-start drivers set
@@ -58,18 +58,6 @@ enum class AnnealStop {
 
 [[nodiscard]] std::string_view to_string(AnnealStop stop);
 
-/// One point of the recorded cooling curve.
-///
-/// Back-compat shim: the canonical sink for cooling-curve samples is now
-/// the observability layer (metrics series "sa.cooling" and trace counter
-/// "sa", see obs/metrics.h and docs/OBSERVABILITY.md); AnnealResult::trace
-/// is kept so existing callers of record_every keep working.
-struct AnnealSample {
-  double temperature = 0.0;
-  double cost = 0.0;
-  long long accepted = 0;
-};
-
 struct AnnealResult {
   double initial_cost = 0.0;
   /// Cost of the returned state. The run rewinds to the best state it
@@ -84,8 +72,6 @@ struct AnnealResult {
   /// run stopped early (the caller's state is still its best-so-far, legal
   /// configuration -- every accepted move kept the invariants).
   AnnealStop stop = AnnealStop::Completed;
-  /// Non-empty when SaSchedule::record_every > 0.
-  std::vector<AnnealSample> trace;
 };
 
 class Annealer {

@@ -26,6 +26,7 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/file.h"
 #include "util/signal.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -211,26 +212,6 @@ double heartbeat_age_s(const std::string& path, double fallback) {
   if (ec) return fallback;
   const auto age = fs::file_time_type::clock::now() - stamp;
   return std::chrono::duration<double>(age).count();
-}
-
-/// Atomic small-file publish for supervisor-side observability files
-/// (trace index, merged trace, rolled-up metrics): same tmp + rename
-/// discipline as the journal, so readers never see a torn file.
-void write_text_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp-partial";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("farm: cannot write " + tmp);
-    out << text;
-    out.flush();
-    if (!out) throw IoError("farm: write failed for " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw IoError("farm: rename " + tmp + " -> " + path +
-                  " failed: " + ec.message());
-  }
 }
 
 /// Farm trace id: unique enough across runs on one host (pid + wall
@@ -526,7 +507,7 @@ void publish_manifest(const std::string& dir, const FarmJournal& journal,
   obs::save_trace(dir + "/trace/supervisor/trace.json");
   try {
     obs::MergedTrace merged = obs::merge_trace_dir(dir + "/trace");
-    write_text_atomic(dir + "/trace.json", merged.json);
+    write_file_atomic(dir + "/trace.json", merged.json);
     for (const std::string& note : merged.notes) {
       std::fprintf(stderr, "farm: trace: %s\n", note.c_str());
     }
@@ -557,7 +538,7 @@ void publish_manifest(const std::string& dir, const FarmJournal& journal,
       "supervisor", stamp});
   try {
     obs::MergedMetrics rolled = obs::merge_metrics(std::move(parts));
-    write_text_atomic(dir + "/metrics.json", rolled.doc.dump());
+    write_file_atomic(dir + "/metrics.json", rolled.doc.dump());
     for (const std::string& note : rolled.notes) {
       std::fprintf(stderr, "farm: metrics: %s\n", note.c_str());
     }
@@ -633,7 +614,7 @@ FarmOutcome run_supervisor(const std::string& exe, FarmJournal& journal) {
     identity.name = "supervisor";
     identity.trace_id = trace_index.trace_id;
     obs::set_trace_process(std::move(identity));
-    write_text_atomic(trace_index_path(journal.dir()),
+    write_file_atomic(trace_index_path(journal.dir()),
                       trace_index_to_json(trace_index).dump() + "\n");
   }
 
@@ -710,7 +691,7 @@ FarmOutcome run_supervisor(const std::string& exe, FarmJournal& journal) {
       part.sort_index = job + 1;
       part.offset_us = obs::trace_now_us();
       trace_index.parts.push_back(std::move(part));
-      write_text_atomic(trace_index_path(journal.dir()),
+      write_file_atomic(trace_index_path(journal.dir()),
                         trace_index_to_json(trace_index).dump() + "\n");
     } else {
       spawn.unset_env.emplace_back("FPKIT_TRACE_PARENT");

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "util/error.h"
+#include "util/file.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -20,26 +21,6 @@ namespace fs = std::filesystem;
 using obs::Json;
 
 namespace {
-
-/// Atomic small-file publish: write to `<path>.tmp-partial`, then rename
-/// over `path`. Same discipline as obs/artifact.cpp so a crash mid-write
-/// never leaves a torn farm.json or farm.lock.
-void write_file_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp-partial";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("farm journal: cannot write " + tmp);
-    out << text;
-    out.flush();
-    if (!out) throw IoError("farm journal: write failed for " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw IoError("farm journal: rename " + tmp + " -> " + path +
-                  " failed: " + ec.message());
-  }
-}
 
 std::string lock_path(const std::string& dir) { return dir + "/farm.lock"; }
 std::string header_path(const std::string& dir) { return dir + "/farm.json"; }

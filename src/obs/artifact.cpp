@@ -4,12 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/faultpoint.h"
+#include "util/file.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -28,18 +28,6 @@ constexpr const char* kRecordedEnv[] = {
     "FPKIT_THREADS", "FPKIT_TRACE",        "FPKIT_FAULTS",
     "FPKIT_LOG_LEVEL", "FPKIT_ARTIFACT_DIR",
 };
-
-void write_text_file(const fs::path& path, const std::string& text) {
-  std::ofstream file(path);
-  if (!file) {
-    throw IoError("write_run_artifact: cannot open '" + path.string() + "'");
-  }
-  file << text << "\n";
-  if (!file) {
-    throw IoError("write_run_artifact: write to '" + path.string() +
-                  "' failed");
-  }
-}
 
 /// Timing quantities are gated by --max-slowdown, never by equality:
 /// two byte-identical runs still differ in wall clock.
@@ -336,14 +324,14 @@ void write_run_artifact(const std::string& dir, const RunManifest& manifest,
     throw IoError("write_run_artifact: cannot create '" + tmp.string() +
                   "': " + ec.message());
   }
-  write_text_file(tmp / "manifest.json", manifest_to_json(manifest).dump());
+  const auto write = [&](const char* name, const std::string& text) {
+    write_file_atomic((tmp / name).string(), text + "\n");
+  };
+  write("manifest.json", manifest_to_json(manifest).dump());
   if (include_metrics) {
-    write_text_file(tmp / "metrics.json",
-                    MetricsRegistry::global().to_json());
+    write("metrics.json", MetricsRegistry::global().to_json());
   }
-  if (include_trace) {
-    write_text_file(tmp / "trace.json", trace_to_json());
-  }
+  if (include_trace) write("trace.json", trace_to_json());
   // Atomic publish: replace the target in one rename so readers only ever
   // see a complete artifact.
   fs::remove_all(target, ec);
@@ -368,13 +356,7 @@ void write_manifest_into(const std::string& dir, const RunManifest& manifest,
   // one, never a torn write, while sibling files (jobs/, journal) stay
   // untouched.
   const auto publish = [&](const char* name, const std::string& text) {
-    const fs::path tmp = base / (std::string(name) + ".tmp-partial");
-    write_text_file(tmp, text);
-    fs::rename(tmp, base / name, ec);
-    if (ec) {
-      throw IoError("write_manifest_into: cannot publish '" +
-                    (base / name).string() + "': " + ec.message());
-    }
+    write_file_atomic((base / name).string(), text + "\n");
   };
   publish("manifest.json", manifest_to_json(manifest).dump());
   if (include_metrics) {

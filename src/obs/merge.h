@@ -45,7 +45,7 @@ struct TraceIndex {
 
 /// A stitched multi-process trace: the merged Chrome trace document text
 /// plus per-part repair notes (missing part file, clock-id mismatch,
-/// salvaged events). Deterministic for fixed inputs.
+/// unclosed spans). Deterministic for fixed inputs.
 struct MergedTrace {
   std::string json;
   std::vector<std::string> notes;
@@ -61,10 +61,10 @@ struct MergedTrace {
 [[nodiscard]] MergedTrace merge_traces(const TraceIndex& index,
                                        const std::vector<ChromeTrace>& parts);
 
-/// Loads `<dir>/index.json` and every listed part (with the lenient
-/// trace loader) and merges them. A part file that is missing or
-/// unreadable -- a worker killed before its first write -- degrades to a
-/// note and an empty lane rather than failing the merge.
+/// Loads `<dir>/index.json` and every listed part and merges them. A part
+/// file that is missing, unreadable or malformed -- a worker killed
+/// before its first write -- degrades to a note and an empty lane rather
+/// than failing the merge.
 [[nodiscard]] MergedTrace merge_trace_dir(const std::string& dir);
 
 /// One metrics snapshot to roll up: a parsed fpkit.metrics.v1 document,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "util/error.h"
+#include "util/file.h"
 
 namespace fp::obs {
 
@@ -251,12 +251,7 @@ std::string MetricsRegistry::to_json() const {
 }
 
 void MetricsRegistry::save(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) throw IoError("MetricsRegistry::save: cannot open '" + path + "'");
-  file << to_json();
-  if (!file) {
-    throw IoError("MetricsRegistry::save: write to '" + path + "' failed");
-  }
+  write_file_atomic(path, to_json());
 }
 
 void MetricsRegistry::clear() {

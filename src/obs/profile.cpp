@@ -124,67 +124,6 @@ struct EventFolder {
   }
 };
 
-/// Scans one balanced JSON object starting at text[pos] (which must be
-/// '{'), honouring strings and escapes. Returns one past the closing
-/// brace, or npos when the object is cut off by the end of the text.
-std::size_t scan_object(std::string_view text, std::size_t pos) {
-  int braces = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;  // skip the escaped character
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++braces;
-    } else if (c == '}') {
-      --braces;
-      if (braces == 0) return i + 1;
-    }
-  }
-  return std::string_view::npos;
-}
-
-/// Salvage path for a document the strict parser rejected: walk the text
-/// for balanced {...} objects (the events themselves) and keep every one
-/// that parses on its own. Nested object values ("args") are consumed by
-/// the balanced scan, so only event-shaped objects are visited.
-std::size_t salvage_events(std::string_view text, EventFolder& folder) {
-  // Skip the document wrapper up to the event list when present, so the
-  // wrapper object itself is not mistaken for one giant event.
-  std::size_t pos = 0;
-  const std::size_t marker = text.find("\"traceEvents\"");
-  if (marker != std::string_view::npos) {
-    const std::size_t bracket = text.find('[', marker);
-    if (bracket != std::string_view::npos) pos = bracket + 1;
-  }
-  std::size_t salvaged = 0;
-  while (true) {
-    const std::size_t start = text.find('{', pos);
-    if (start == std::string_view::npos) break;
-    const std::size_t end = scan_object(text, start);
-    if (end == std::string_view::npos) break;  // cut off mid-object
-    bool parsed = false;
-    try {
-      folder.fold(json_parse(text.substr(start, end - start)));
-      parsed = true;
-    } catch (const Error&) {
-      // An object that scans balanced but does not parse (corrupt bytes
-      // inside): skip it and keep scanning.
-    }
-    if (parsed) ++salvaged;
-    pos = end;
-  }
-  return salvaged;
-}
-
 }  // namespace
 
 ChromeTrace parse_chrome_trace(std::string_view text) {
@@ -194,34 +133,18 @@ ChromeTrace parse_chrome_trace(std::string_view text) {
   std::size_t unmatched_ends = 0;
   EventFolder folder{trace, open, max_ts, unmatched_ends};
 
-  std::string parse_error;
-  try {
-    const Json doc = json_parse(text);
-    if (doc.is_object()) {
-      if (const Json* other = doc.find("otherData")) {
-        if (other->is_object()) {
-          trace.trace_id = string_or(*other, "trace_id", "");
-        }
+  const Json doc = json_parse(text);
+  if (doc.is_object()) {
+    if (const Json* other = doc.find("otherData")) {
+      if (other->is_object()) {
+        trace.trace_id = string_or(*other, "trace_id", "");
       }
     }
-    const std::vector<Json>* events = event_array(doc);
-    require(events != nullptr,
-            "parse_chrome_trace: no traceEvents array in the document");
-    for (const Json& event : *events) folder.fold(event);
-  } catch (const InvalidArgument& error) {
-    parse_error = error.what();
-    const std::size_t salvaged = salvage_events(text, folder);
-    if (salvaged == 0) {
-      throw InvalidArgument(
-          "parse_chrome_trace: document is malformed and no events could "
-          "be salvaged (" +
-          parse_error + ")");
-    }
-    trace.notes.push_back("trace truncated or malformed: salvaged " +
-                          std::to_string(salvaged) +
-                          " event(s) before the damage (" + parse_error +
-                          ")");
   }
+  const std::vector<Json>* events = event_array(doc);
+  require(events != nullptr,
+          "parse_chrome_trace: no traceEvents array in the document");
+  for (const Json& event : *events) folder.fold(event);
 
   // Close any span whose "E" never arrived (killed run) at the last seen
   // timestamp: the time was genuinely spent, only the close was lost.
@@ -376,8 +299,8 @@ TraceProfile profile_trace(const ChromeTrace& trace) {
     const ProfileSpan& span = spans[i];
     threads[{span.process_id, span.thread_id}] = true;
     const auto duration = static_cast<double>(span.duration_us);
-    // A child can outlive its parent in a salvaged trace; clamp so self
-    // time never goes negative.
+    // A child can outlive its parent in a repaired or external trace;
+    // clamp so self time never goes negative.
     const double self = std::max(0.0, duration - child_us[i]);
     ProcessEntry& process = by_process[span.process_id];
     process.process_id = span.process_id;

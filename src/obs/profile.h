@@ -4,10 +4,10 @@
 // and renders the result as a text table, canonical JSON, or a
 // flamegraph-style SVG.
 //
-// The loader is deliberately forgiving where the artifact JSON parser is
-// strict: a truncated document (killed run, budget expiry, full disk) or
-// an unbalanced begin/end trace still loads -- complete events are
-// salvaged, unclosed spans are closed at the last seen timestamp, and
+// The document must be well-formed JSON: fpkit writes every trace
+// atomically, so a cut-off file is malformed input. Its events may be
+// unbalanced, as in a trace of a killed run or an external tool:
+// unclosed begin/end spans are closed at the last seen timestamp, and
 // every repair is reported in ChromeTrace::notes so a degraded profile is
 // never mistaken for a clean one.
 #pragma once
@@ -44,7 +44,7 @@ struct CounterSample {
   std::vector<std::pair<std::string, double>> values;
 };
 
-/// A loaded trace: spans plus process/thread labels and any salvage
+/// A loaded trace: spans plus process/thread labels and any repair
 /// diagnostics. Threads are keyed (pid, tid) -- two processes may both
 /// have a tid 0.
 struct ChromeTrace {
@@ -54,18 +54,16 @@ struct ChromeTrace {
   std::map<int, std::string> process_names;  // process_name "M" events
   std::string trace_id;  // otherData.trace_id, "" when absent
   std::size_t counter_events = 0;  // "C" events seen (== counters.size())
-  /// Human-readable repair notes ("trace truncated: salvaged 41
-  /// event(s)", "2 unclosed span(s) closed at the last timestamp").
-  /// Empty for a clean, complete trace.
+  /// Human-readable repair notes ("2 unclosed span(s) closed at the last
+  /// recorded timestamp"). Empty for a clean, complete trace.
   std::vector<std::string> notes;
 
   [[nodiscard]] bool degraded() const { return !notes.empty(); }
 };
 
-/// Parses a Chrome trace event document. Well-formed documents go through
-/// the strict JSON parser; on a syntax error the loader salvages every
-/// complete event object before the truncation point instead of failing.
-/// Throws InvalidArgument only when not even one event can be recovered.
+/// Parses a Chrome trace event document (an event array, or an object
+/// with a traceEvents array). Throws InvalidArgument when it is not
+/// well-formed JSON or has no event array.
 [[nodiscard]] ChromeTrace parse_chrome_trace(std::string_view text);
 
 /// Reads and parses `path`; throws IoError when unreadable.

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
 
 #include "util/error.h"
+#include "util/file.h"
 
 namespace fp::obs {
 
@@ -309,10 +309,7 @@ std::string trace_to_text() {
 }
 
 void save_trace(const std::string& path) {
-  std::ofstream file(path);
-  if (!file) throw IoError("save_trace: cannot open '" + path + "'");
-  file << trace_to_json();
-  if (!file) throw IoError("save_trace: write to '" + path + "' failed");
+  write_file_atomic(path, trace_to_json());
 }
 
 void reset_trace() {

@@ -1,36 +1,55 @@
 #include "util/cli.h"
 
+#include <algorithm>
+
 #include "util/error.h"
 #include "util/strings.h"
 
 namespace fp {
 
-ArgParser::ArgParser(int argc, const char* const* argv) {
+std::string flag_help(std::span<const Flag> flags) {
+  std::string out;
+  for (const Flag& flag : flags) {
+    std::string usage = "  --";
+    usage += flag.name;
+    if (!flag.arg.empty()) {
+      usage += ' ';
+      usage += flag.arg;
+    }
+    usage.resize(std::max<std::size_t>(usage.size() + 2, 24), ' ');
+    out += usage;
+    out += flag.help;
+    out += '\n';
+  }
+  return out;
+}
+
+ArgParser::ArgParser(int argc, const char* const* argv,
+                     std::span<const Flag> flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (!starts_with(arg, "--")) {
       positional_.emplace_back(arg);
       continue;
     }
-    std::string_view body = arg.substr(2);
+    const std::string_view body = arg.substr(2);
     const std::size_t eq = body.find('=');
-    if (eq != std::string_view::npos) {
-      seen_[std::string(body.substr(0, eq))] =
-          std::string(body.substr(eq + 1));
-      continue;
+    const std::string name(body.substr(0, eq));
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const Flag& f) { return f.name == name; });
+    if (flag == flags.end()) {
+      throw InvalidArgument("unknown flag --" + name);
     }
-    // "--name value" when the next token is not itself a flag.
-    if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
-      seen_[std::string(body)] = std::string(argv[i + 1]);
-      ++i;
+    if (eq != std::string_view::npos) {
+      seen_[name] = std::string(body.substr(eq + 1));
+    } else if (!flag->arg.empty() && i + 1 < argc &&
+               !starts_with(argv[i + 1], "--")) {
+      seen_[name] = std::string(argv[++i]);
     } else {
-      seen_[std::string(body)] = std::nullopt;
+      seen_[name] = std::nullopt;
     }
   }
-}
-
-void ArgParser::declare(std::string_view name, std::string_view help) {
-  declared_[std::string(name)] = std::string(help);
 }
 
 bool ArgParser::has(std::string_view name) const {
@@ -57,34 +76,6 @@ double ArgParser::get_double(std::string_view name, double fallback) const {
   const auto it = seen_.find(name);
   if (it == seen_.end() || !it->second.has_value()) return fallback;
   return parse_double(*it->second);
-}
-
-bool ArgParser::get_bool(std::string_view name, bool fallback) const {
-  const auto it = seen_.find(name);
-  if (it == seen_.end()) return fallback;
-  if (!it->second.has_value()) return true;  // bare --flag
-  const std::string& v = *it->second;
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw InvalidArgument("ArgParser: bad boolean value '" + v + "' for --" +
-                        std::string(name));
-}
-
-void ArgParser::check_unknown() const {
-  for (const auto& [name, value] : seen_) {
-    if (declared_.find(name) == declared_.end()) {
-      throw InvalidArgument("ArgParser: unknown flag --" + name + "\n" +
-                            help());
-    }
-  }
-}
-
-std::string ArgParser::help() const {
-  std::string out = "flags:\n";
-  for (const auto& [name, text] : declared_) {
-    out += "  --" + name + "  " + text + "\n";
-  }
-  return out;
 }
 
 }  // namespace fp

@@ -1,8 +1,8 @@
 // Run-artifact layer (obs/artifact.h, docs/ARTIFACTS.md): the canonical
 // JSON value/parser/writer and its nesting bound (end to end through the
-// real fpkit binary too), manifest round trips, the compare gating
-// semantics behind `fpkit compare`, and the `fpkit batch --jobs-file`
-// parser.
+// real fpkit binary too), the CLI's per-subcommand flag checks, manifest
+// round trips, the compare gating semantics behind `fpkit compare`, and
+// the `fpkit batch --jobs-file` parser.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -93,10 +94,11 @@ TEST(ArtifactJson, NestingDepthIsBounded) {
   EXPECT_NO_THROW((void)obs::json_parse(wide));
 }
 
-/// Exit code of the real fpkit binary run with `args` (output discarded).
-int run_fpkit(const std::string& args) {
+/// Exit code of the real fpkit binary run with `args`; stdout is
+/// discarded and stderr goes to `err`.
+int run_fpkit(const std::string& args, const std::string& err = "/dev/null") {
   const std::string command =
-      std::string(FPKIT_CLI_PATH) + " " + args + " > /dev/null 2>&1";
+      std::string(FPKIT_CLI_PATH) + " " + args + " > /dev/null 2> " + err;
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -118,6 +120,40 @@ TEST(ArtifactJson, DeeplyNestedInputsExitTwo) {
   std::ofstream(dir + "/trace.json", std::ios::trunc) << nested_arrays(50000);
   EXPECT_EQ(run_fpkit("dash --profile " + dir + "/trace.json --format text"),
             2);
+}
+
+// --- the CLI command table ---------------------------------------------
+
+/// A Table-1 circuit written by the real binary, one file per test.
+std::string cli_circuit(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name + ".fp";
+  EXPECT_EQ(run_fpkit("generate --table1 1 --out " + path), 0);
+  return path;
+}
+
+TEST(CliFlags, MisspelledFlagExitsTwoAndIsNamed) {
+  ASSERT_FALSE(std::string(FPKIT_CLI_PATH).empty());
+  const std::string circuit = cli_circuit("cli_typo");
+  const std::string err = ::testing::TempDir() + "cli_typo.err";
+  EXPECT_EQ(run_fpkit("run " + circuit + " --mseh 12", err), 2);
+  std::ifstream in(err);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("--mseh"), std::string::npos) << text;
+  EXPECT_NE(text.find("FP-INVALID"), std::string::npos) << text;
+}
+
+TEST(CliFlags, SwitchBeforeTheCircuitRuns) {
+  ASSERT_FALSE(std::string(FPKIT_CLI_PATH).empty());
+  const std::string circuit = cli_circuit("cli_switch");
+  EXPECT_EQ(run_fpkit("run --no-exchange " + circuit + " --mesh 12"), 0);
+}
+
+TEST(CliFlags, DuplicateBatchSeedsExitTwo) {
+  // Two jobs labelled DFA/seed=1, rejected as in a jobs file.
+  ASSERT_FALSE(std::string(FPKIT_CLI_PATH).empty());
+  const std::string circuit = cli_circuit("cli_seeds");
+  EXPECT_EQ(run_fpkit("batch " + circuit + " --seeds 1,1 --mesh 12"), 2);
 }
 
 TEST(ArtifactJson, AccessorsEnforceKinds) {

@@ -301,7 +301,9 @@ TEST(Subprocess, TryWaitIsNonBlockingAndIdempotent) {
 
 TEST(Subprocess, SignalDeathIsDistinguishedFromNormalExit) {
   exec::SpawnOptions options;
-  options.argv = {"/bin/sh", "-c", "sleep 30"};
+  // Spawned directly: a shell killed after forking `sleep` would leave
+  // the orphan holding the test's stdout open for 30 s.
+  options.argv = {"/bin/sleep", "30"};
   exec::Child child = exec::Child::spawn(options);
   child.kill(SIGKILL);
   const exec::ExitStatus status = child.wait();

@@ -5,6 +5,7 @@
 
 #include "assign/dfa.h"
 #include "exchange/exchange.h"
+#include "obs/metrics.h"
 #include "package/circuit_generator.h"
 #include "power/pad_ring.h"
 #include "power/solver.h"
@@ -25,6 +26,8 @@ TEST(AnnealerTrace, RecordsRequestedSamples) {
   schedule.record_every = 3;
   int x = 20;
   int last = 0;
+  obs::MetricsRegistry::global().clear();
+  obs::set_metrics_enabled(true);
   const AnnealResult result = Annealer(schedule).run(
       400.0,
       [&](Rng& rng) -> std::optional<double> {
@@ -33,29 +36,24 @@ TEST(AnnealerTrace, RecordsRequestedSamples) {
         return static_cast<double>(x) * x;
       },
       [&]() { x -= last; });
-  ASSERT_FALSE(result.trace.empty());
-  EXPECT_EQ(result.trace.size(),
+  obs::set_metrics_enabled(false);
+  const std::optional<obs::SeriesSnapshot> cooling =
+      obs::MetricsRegistry::global().series("sa.cooling");
+  obs::MetricsRegistry::global().clear();
+  ASSERT_TRUE(cooling.has_value());
+  const std::vector<std::vector<double>>& rows = cooling->rows;
+  EXPECT_EQ(rows.size(),
             static_cast<std::size_t>((result.temperature_steps + 2) / 3));
-  // Temperatures strictly decrease along the trace; the first sample is
-  // taken at the initial temperature with the initial cost.
-  EXPECT_DOUBLE_EQ(result.trace.front().temperature, 10.0);
-  EXPECT_DOUBLE_EQ(result.trace.front().cost, 400.0);
-  for (std::size_t i = 1; i < result.trace.size(); ++i) {
-    EXPECT_LT(result.trace[i].temperature, result.trace[i - 1].temperature);
-    EXPECT_GE(result.trace[i].accepted, result.trace[i - 1].accepted);
+  // Temperatures strictly decrease along the series; the first sample is
+  // taken at the initial temperature with the initial cost. Columns:
+  // temperature, cost, accepted_moves.
+  ASSERT_FALSE(rows.empty());
+  EXPECT_DOUBLE_EQ(rows.front()[0], 10.0);
+  EXPECT_DOUBLE_EQ(rows.front()[1], 400.0);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_LT(rows[i][0], rows[i - 1][0]);
+    EXPECT_GE(rows[i][2], rows[i - 1][2]);
   }
-}
-
-TEST(AnnealerTrace, OffByDefault) {
-  SaSchedule schedule;
-  schedule.initial_temperature = 1.0;
-  schedule.final_temperature = 0.5;
-  schedule.cooling = 0.9;
-  schedule.moves_per_temperature = 1;
-  const AnnealResult result = Annealer(schedule).run(
-      1.0, [](Rng&) -> std::optional<double> { return std::nullopt; },
-      []() {});
-  EXPECT_TRUE(result.trace.empty());
 }
 
 // ------------------------------------------------------------ SOR sweep ----

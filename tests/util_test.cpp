@@ -225,59 +225,76 @@ TEST(Strings, FormatPercent) { EXPECT_EQ(format_percent(0.123), "12.3%"); }
 
 // ----------------------------------------------------------------- cli ----
 
+constexpr Flag kTestFlags[] = {
+    {"count", "N", "the count"},
+    {"name", "S", "a name"},
+    {"flag", "", "a switch"},
+    {"k", "K", "a size"},
+};
+
 TEST(Cli, ParsesNameValuePairs) {
   const char* argv[] = {"prog", "--count", "5", "--name=abc", "--flag"};
-  ArgParser args(5, argv);
+  ArgParser args(5, argv, kTestFlags);
   EXPECT_EQ(args.get_int("count", 0), 5);
   EXPECT_EQ(args.get_string("name", ""), "abc");
-  EXPECT_TRUE(args.get_bool("flag", false));
-  EXPECT_FALSE(args.get_bool("missing", false));
+  EXPECT_TRUE(args.has("flag"));
+  EXPECT_FALSE(args.has("k"));
 }
 
 TEST(Cli, Positional) {
   const char* argv[] = {"prog", "input.txt", "--k", "3", "more"};
-  ArgParser args(5, argv);
+  ArgParser args(5, argv, kTestFlags);
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "input.txt");
   EXPECT_EQ(args.positional()[1], "more");
 }
 
-TEST(Cli, BooleanSpellings) {
-  const char* argv[] = {"prog", "--a=true", "--b=off", "--c=1", "--d=no"};
-  ArgParser args(5, argv);
-  EXPECT_TRUE(args.get_bool("a", false));
-  EXPECT_FALSE(args.get_bool("b", true));
-  EXPECT_TRUE(args.get_bool("c", false));
-  EXPECT_FALSE(args.get_bool("d", true));
-}
-
-TEST(Cli, BadBooleanThrows) {
-  const char* argv[] = {"prog", "--a=maybe"};
-  ArgParser args(2, argv);
-  EXPECT_THROW((void)args.get_bool("a", false), InvalidArgument);
+TEST(Cli, SwitchNeverTakesTheNextToken) {
+  // A switch before a positional argument leaves it positional; the
+  // value form still parses (farm.json records --no-exchange=1).
+  const char* argv[] = {"prog", "--flag", "input.txt", "--count", "--k=3"};
+  ArgParser args(5, argv, kTestFlags);
+  EXPECT_TRUE(args.has("flag"));
+  ASSERT_EQ(args.positional().size(), 1u);
+  EXPECT_EQ(args.positional()[0], "input.txt");
+  // A bare value flag is present but falls back to its default.
+  EXPECT_TRUE(args.has("count"));
+  EXPECT_EQ(args.get_int("count", 7), 7);
+  EXPECT_EQ(args.get_int("k", 0), 3);
+  const char* value_form[] = {"prog", "--flag=1", "input.txt"};
+  EXPECT_TRUE(ArgParser(3, value_form, kTestFlags).has("flag"));
 }
 
 TEST(Cli, UnknownFlagDetected) {
-  const char* argv[] = {"prog", "--typo", "1"};
-  ArgParser args(3, argv);
-  args.declare("count", "the count");
-  EXPECT_THROW(args.check_unknown(), InvalidArgument);
+  for (const char* typo : {"--typo", "--typo=1"}) {
+    const char* argv[] = {"prog", typo, "1"};
+    try {
+      (void)ArgParser(3, argv, kTestFlags);
+      FAIL() << typo << " accepted";
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find("--typo"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(Cli, DeclaredFlagPasses) {
   const char* argv[] = {"prog", "--count", "1"};
-  ArgParser args(3, argv);
-  args.declare("count", "the count");
-  EXPECT_NO_THROW(args.check_unknown());
-  EXPECT_NE(args.help().find("--count"), std::string::npos);
+  EXPECT_NO_THROW((void)ArgParser(3, argv, kTestFlags));
+  // flag_help renders one usage line per declared flag.
+  const std::string help = flag_help(kTestFlags);
+  EXPECT_NE(help.find("--count N"), std::string::npos) << help;
+  EXPECT_NE(help.find("the count"), std::string::npos) << help;
+  EXPECT_NE(help.find("--flag "), std::string::npos) << help;
+  EXPECT_EQ(std::count(help.begin(), help.end(), '\n'), 4);
 }
 
 TEST(Cli, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
-  ArgParser args(1, argv);
+  ArgParser args(1, argv, kTestFlags);
   EXPECT_EQ(args.get_int("k", 9), 9);
-  EXPECT_DOUBLE_EQ(args.get_double("x", 2.5), 2.5);
-  EXPECT_EQ(args.get_string("s", "dft"), "dft");
+  EXPECT_DOUBLE_EQ(args.get_double("count", 2.5), 2.5);
+  EXPECT_EQ(args.get_string("name", "dft"), "dft");
 }
 
 // --------------------------------------------------------------- error ----

@@ -1,62 +1,8 @@
 // fpkit -- command line driver for the finger/pad planning flow.
 //
-//   fpkit generate --table1 <1..5> [--tiers N] [--seed S] --out c.fp
-//   fpkit info     <circuit.fp>
-//   fpkit run      <circuit.fp> [--method random|ifa|dfa] [--no-exchange]
-//                  [--mesh K] [--lambda L --rho R --phi P] [--seed S]
-//                  (alias: plan)
-//   fpkit route    <circuit.fp> [--method ...] [--svg-prefix out]
-//   fpkit ir       <circuit.fp> [--method ...] [--mesh K] [--heatmap f.svg]
-//   fpkit check    <circuit.fp> [--assignment a.fpa] [--method ...]
-//                  [--format text|json|sarif] [--out report.json]
-//                  [--strict] [--waived] [--config cfg.json|--no-config]
-//                  [--baseline <artifact-dir>] [--audit-run <artifact-dir>]
-//                  [--list-rules]
-//   fpkit batch    <circuit.fp> [--methods dfa,ifa,random] [--seeds 1,2,3]
-//                  [--jobs N] [--jobs-file jobs.txt] [...any run flag]
-//   fpkit farm     <circuit.fp> --jobs-file jobs.txt --out <dir>
-//                  [--workers N] [--max-attempts K] [--job-timeout S]
-//                  [--hang-timeout S] [--retry-base-ms M] [--backoff-seed S]
-//   fpkit farm     --resume <dir>
-//   fpkit compare  <runA> <runB> [--max-slowdown X] [--require-equal-cost]
-//   fpkit serve    [--mesh K] [--lambda L --rho R --phi P]
-//                  [--no-warm-start]   JSON-RPC session daemon on
-//                  stdin/stdout (docs/SERVE.md)
-//
-// Parallelism (docs/PARALLELISM.md): --threads N (0 = all cores; env
-// FPKIT_THREADS; default 1) sizes the exec worker pool for any
-// subcommand, --restarts N runs N independently-seeded SA replicas and
-// keeps the best, and `batch` fans whole flow runs out over the pool.
-// For a fixed seed every result is bit-identical at any thread count.
-//
-// Every subcommand additionally accepts the observability flags
-//   --trace <file.json>    span trace (Chrome trace event format; open in
-//                          Perfetto or chrome://tracing)
-//   --metrics <file.json>  metrics snapshot (fpkit.metrics.v1 schema)
-//   --artifact-dir <dir>   run-artifact flight recorder: atomically writes
-//                          manifest.json + metrics.json + trace.json for
-//                          `fpkit compare` (docs/ARTIFACTS.md)
-//                          [env FPKIT_ARTIFACT_DIR]
-// and the FPKIT_TRACE=<file> environment variable as an override path for
-// --trace. FPKIT_LOG_LEVEL=debug|info|warn|error|off sets the log
-// threshold (util/log.h). Tracing is off by default and does not change
-// any numeric result.
-//
-// Resilience flags (docs/ROBUSTNESS.md):
-//   --budget S             whole-run wall-clock budget in seconds
-//   --budget-exchange S    cap for the SA exchange stage
-//   --budget-analyze S     cap for each IR-analysis stage
-//   --inject SPEC          arm fault-injection sites, e.g.
-//                          "solver.step:after=3:times=1" [env FPKIT_FAULTS]
-//
-// Exit-code contract (stable; see docs/ROBUSTNESS.md):
-//   0  success
-//   1  `check`/`info --lint` found rule violations
-//   2  invalid input (bad flags, malformed circuit/assignment files)
-//   3  the flow finished but degraded (budget expiry, solver fallback...)
-//   4  internal error (broken invariant, exhausted solver chain, fault)
-//   5  interrupted (SIGINT/SIGTERM graceful drain; best-so-far artifacts
-//      were still flushed; a farm is resumable with --resume)
+// kCommands, near the end of this file, is the one statement of the
+// command line: each subcommand's handler, flags, and signal and
+// flight-recorder policies. `fpkit` without arguments prints it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -64,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -91,7 +38,6 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "package/circuit_generator.h"
-#include "package/lint.h"
 #include "power/ir_analysis.h"
 #include "power/spice_export.h"
 #include "route/design_rules.h"
@@ -101,6 +47,7 @@
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/faultpoint.h"
+#include "util/file.h"
 #include "util/signal.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -109,84 +56,35 @@ namespace {
 
 using namespace fp;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: fpkit <generate|info|run|route|ir|spice|check|batch|"
-               "farm|compare|dash|serve> [flags]\n"
-               "  generate --table1 <1..5> [--tiers N] [--seed S] "
-               "[--supply F] --out <file.fp>\n"
-               "  info     <circuit.fp>\n"
-               "  run      <circuit.fp> [--method random|ifa|dfa] "
-               "[--no-exchange] [--mesh K]\n"
-               "           [--lambda L] [--rho R] [--phi P] [--seed S]"
-               "   (alias: plan)\n"
-               "  route    <circuit.fp> [--method ...] [--assignment a.fpa]"
-               " [--svg-prefix p]\n"
-               "  ir       <circuit.fp> [--method ...] [--mesh K] "
-               "[--heatmap f.svg]\n"
-               "  spice    <circuit.fp> [--method ...] [--mesh K] "
-               "[--out deck.sp]\n"
-               "  check    <circuit.fp> [--assignment a.fpa] [--method ...]"
-               " [--mesh K]\n"
-               "           [--format text|json|sarif] [--out report.json]"
-               " [--strict] [--waived]\n"
-               "           [--config cfg.json|--no-config]"
-               " [--baseline <artifact-dir>]\n"
-               "           [--audit-run <artifact-dir>] [--list-rules]\n"
-               "  batch    <circuit.fp> [--methods dfa,ifa,random]"
-               " [--seeds 1,2,3]\n"
-               "           [--jobs N] [--jobs-file jobs.txt] [--mesh K]"
-               " [...run flags]\n"
-               "  farm     <circuit.fp> --jobs-file jobs.txt --out <dir>"
-               " [--workers N]\n"
-               "           [--max-attempts K] [--job-timeout S]"
-               " [--hang-timeout S]\n"
-               "           [--retry-base-ms M] [--backoff-seed S]"
-               " [...run flags]\n"
-               "           crash-contained multi-process batch with a"
-               " resumable journal\n"
-               "  farm     --resume <dir>   finish an interrupted/killed"
-               " farm (docs/ROBUSTNESS.md)\n"
-               "  compare  <runA> <runB> [--max-slowdown X]"
-               " [--require-equal-cost] [--min-time S]\n"
-               "  dash     <artifact-dir>... [--out dash.html] [--title T]\n"
-               "           [--max-slowdown X] [--min-time S]   trend"
-               " dashboard (docs/DASHBOARD.md)\n"
-               "  dash     --profile <trace.json> [--format text|json]"
-               " [--out f] [--flame f.svg]\n"
-               "  dash     --merge <farm-dir> [--out merged.json]   stitch"
-               " per-worker traces\n"
-               "  dash     --follow <farm-dir> [--poll-ms M]   live farm"
-               " progress from the journal\n"
-               "  serve    [--mesh K] [--lambda L] [--rho R] [--phi P]"
-               " [--no-warm-start]\n"
-               "           newline-delimited JSON-RPC session daemon on"
-               " stdin/stdout\n"
-               "           (load/swap/undo/evaluate/checkpoint/stats/"
-               "shutdown; docs/SERVE.md)\n"
-               "parallelism (see docs/PARALLELISM.md):\n"
-               "  --threads N         worker threads, 0 = all cores"
-               " [env FPKIT_THREADS; default 1]\n"
-               "  --restarts N        independent SA replicas; best final"
-               " cost wins (run/ir/batch)\n"
-               "observability (any subcommand; see docs/OBSERVABILITY.md):\n"
-               "  --trace <t.json>    span trace (Perfetto/chrome://tracing)"
-               " [env FPKIT_TRACE]\n"
-               "  --metrics <m.json>  counters/gauges/histograms snapshot\n"
-               "  --artifact-dir <d>  manifest+metrics+trace flight recorder"
-               " [env FPKIT_ARTIFACT_DIR]\n"
-               "  --progress          live stage/percent/ETA heartbeat on"
-               " stderr [env FPKIT_PROGRESS]\n"
-               "resilience (any subcommand; see docs/ROBUSTNESS.md):\n"
-               "  --budget S [--budget-exchange S] [--budget-analyze S]"
-               "  wall-clock caps\n"
-               "  --inject <site:after=N[:times=M][,...]>  deterministic"
-               " faults [env FPKIT_FAULTS]\n"
-               "exit codes: 0 ok, 1 check violations, 2 invalid input, "
-               "3 degraded result, 4 internal error,\n"
-               "            5 interrupted (SIGINT/SIGTERM graceful drain)\n");
-  return 2;
-}
+/// Flags every subcommand takes: parallelism, observability and faults.
+constexpr Flag kCommonFlags[] = {
+    {"threads", "N", "threads; 0 or bare = all cores [env FPKIT_THREADS]"},
+    {"trace", "<t.json>",
+     "Chrome span trace for Perfetto [env FPKIT_TRACE]"},
+    {"metrics", "<m.json>", "counters/gauges/histograms snapshot"},
+    {"artifact-dir", "<dir>",
+     "manifest+metrics+trace recorder [env FPKIT_ARTIFACT_DIR]"},
+    {"progress", "", "live stage/percent/ETA on stderr [env FPKIT_PROGRESS]"},
+    {"inject", "<spec>",
+     "faults, e.g. solver.step:after=3 [env FPKIT_FAULTS]"},
+};
+
+/// Flags of the flow subcommands. Each one is a set_flow_option key
+/// (--no-exchange is exchange=off) applied over FlowOptions{}; farm.json
+/// records the forwarded ones in this order.
+constexpr Flag kFlowFlags[] = {
+    {"method", "random|ifa|dfa", "assignment method"},
+    {"seed", "S", "random-assignment and SA seed"},
+    {"restarts", "N", "independent SA replicas; the best final cost wins"},
+    {"mesh", "K", "Eq.-(1) power mesh nodes per side"},
+    {"lambda", "L", "Eq.-(3) IR-drop weight"},
+    {"rho", "R", "Eq.-(3) density weight"},
+    {"phi", "P", "Eq.-(3) bonding-wire weight"},
+    {"budget", "S", "whole-run wall-clock budget in seconds"},
+    {"budget-exchange", "S", "wall-clock cap of the SA exchange"},
+    {"budget-analyze", "S", "wall-clock cap of each IR analysis"},
+    {"no-exchange", "", "assignment only: skip the SA exchange"},
+};
 
 /// Run-artifact flight recorder (docs/ARTIFACTS.md). Armed by
 /// --artifact-dir or FPKIT_ARTIFACT_DIR; the subcommand handlers fill the
@@ -206,14 +104,6 @@ struct ArtifactState {
 
 ArtifactState g_artifact;
 
-AssignmentMethod parse_method(const std::string& name) {
-  if (name == "random") return AssignmentMethod::Random;
-  if (name == "ifa") return AssignmentMethod::Ifa;
-  if (name == "dfa") return AssignmentMethod::Dfa;
-  throw InvalidArgument("unknown method '" + name +
-                        "' (expected random|ifa|dfa)");
-}
-
 Package load_input(const ArgParser& args) {
   require(!args.positional().empty(), "missing circuit file argument");
   return load_circuit(args.positional().front());
@@ -221,23 +111,14 @@ Package load_input(const ArgParser& args) {
 
 FlowOptions flow_options(const ArgParser& args) {
   FlowOptions options;
-  options.method =
-      parse_method(args.get_string("method", "dfa"));
-  options.random_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  options.run_exchange = !args.has("no-exchange");
-  options.grid_spec.nodes_per_side =
-      static_cast<int>(args.get_int("mesh", 32));
-  options.exchange.lambda = args.get_double("lambda", 20.0);
-  options.exchange.rho = args.get_double("rho", 2.0);
-  options.exchange.phi = args.get_double("phi", 1.0);
-  options.exchange.schedule.seed = options.random_seed;
-  options.exchange.schedule.restarts =
-      static_cast<int>(args.get_int("restarts", 1));
-  require(options.exchange.schedule.restarts >= 1,
-          "--restarts must be >= 1");
-  options.budget.total_s = args.get_double("budget", 0.0);
-  options.budget.exchange_s = args.get_double("budget-exchange", 0.0);
-  options.budget.analyze_s = args.get_double("budget-analyze", 0.0);
+  for (const Flag& flag : kFlowFlags) {
+    if (!args.has(flag.name)) continue;
+    if (flag.name == "no-exchange") {
+      set_flow_option(options, "exchange", "off");
+    } else {
+      set_flow_option(options, flag.name, args.get_string(flag.name, ""));
+    }
+  }
   // Every CLI flow answers SIGINT/SIGTERM with a keep-best-so-far drain
   // (docs/ROBUSTNESS.md). The flag is inert unless main() installed the
   // graceful handler for this subcommand.
@@ -292,9 +173,12 @@ int cmd_generate(const ArgParser& args) {
 int cmd_info(const ArgParser& args) {
   const Package package = load_input(args);
   if (args.has("lint")) {
-    const LintReport lint = lint_package(package);
-    std::printf("%s", lint.to_string().c_str());
-    return lint.errors() == 0 ? 0 : 1;
+    // The Package and Stacking stages: all a bare package can show.
+    CheckContext context;
+    context.package = &package;
+    const CheckReport report = run_checks(context);
+    std::printf("%s", report.to_string().c_str());
+    return report.passed() ? 0 : 1;
   }
   std::printf("circuit '%s'\n", package.name().c_str());
   std::printf("  finger/pads : %d\n", package.finger_count());
@@ -314,7 +198,7 @@ int cmd_info(const ArgParser& args) {
   return 0;
 }
 
-int cmd_plan(const ArgParser& args) {
+int cmd_run(const ArgParser& args) {
   const Package package = load_input(args);
   const FlowOptions options = flow_options(args);
   const FlowResult result = CodesignFlow(options).run(package);
@@ -631,9 +515,8 @@ int cmd_check(const ArgParser& args) {
   // canonical check JSON), independent of what stdout shows.
   const std::string out_path = args.get_string("out", "");
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << (format == "sarif" ? rendered : report.to_json());
-    require(out.good(), "check: cannot write '" + out_path + "'");
+    write_file_atomic(out_path,
+                      format == "sarif" ? rendered : report.to_json());
     std::printf("wrote %s\n", out_path.c_str());
   }
   std::printf("%s", rendered.c_str());
@@ -675,28 +558,20 @@ int cmd_batch(const ArgParser& args) {
             "batch: --jobs-file excludes --methods/--seeds");
     jobs = load_batch_jobs(jobs_file, base);
   } else {
-    const std::vector<std::string> methods =
-        split(args.get_string("methods", "dfa"), ',');
-    const std::vector<std::string> seeds = split(
-        args.get_string(
-            "seeds",
-            std::to_string(static_cast<long long>(base.random_seed))),
-        ',');
-    for (const std::string& method_name : methods) {
-      for (const std::string& seed_text : seeds) {
-        BatchJob job;
-        job.options = base;
-        job.options.method = parse_method(std::string(trim(method_name)));
-        const std::uint64_t seed =
-            static_cast<std::uint64_t>(parse_int(trim(seed_text)));
-        job.options.random_seed = seed;
-        job.options.exchange.schedule.seed = seed;
-        job.label = std::string(to_string(job.options.method)) +
-                    "/seed=" + std::to_string(seed);
-        jobs.push_back(std::move(job));
+    // The methods x seeds cross product, one jobs-file line per job, so
+    // both paths share method names, labels and the duplicate check.
+    std::string lines;
+    const std::string seeds = args.get_string(
+        "seeds", std::to_string(static_cast<long long>(base.random_seed)));
+    for (const std::string& method :
+         split(args.get_string("methods", "dfa"), ',')) {
+      for (const std::string& seed : split(seeds, ',')) {
+        lines.append("method=").append(trim(method));
+        lines.append(" seed=").append(trim(seed)).append("\n");
       }
     }
-    require(!jobs.empty(), "batch: --methods/--seeds produced no jobs");
+    std::istringstream in(lines);
+    jobs = parse_batch_jobs(in, base, "--methods/--seeds");
   }
 
   // run_flow_batch consumes the job list; keep the per-job options when
@@ -778,21 +653,16 @@ std::string self_exe_path() {
 }
 
 /// The base flow flags a farm supervisor forwards to every worker, in
-/// --flag=value form (value form keeps ArgParser from binding a bare
-/// flag to the next positional). Recorded in farm.json so --resume
-/// re-creates identical workers without re-parsing the original command
-/// line.
+/// --flag=value form (a switch as --flag=1). Recorded in farm.json so
+/// --resume re-creates identical workers without re-parsing the original
+/// command line.
 std::vector<std::string> forwarded_flow_flags(const ArgParser& args) {
   std::vector<std::string> flags;
-  for (const char* name :
-       {"method", "seed", "restarts", "mesh", "lambda", "rho", "phi",
-        "budget", "budget-exchange", "budget-analyze"}) {
-    if (args.has(name)) {
-      flags.push_back("--" + std::string(name) + "=" +
-                      args.get_string(name, ""));
-    }
+  for (const Flag& flag : kFlowFlags) {
+    if (!args.has(flag.name)) continue;
+    flags.push_back(std::string("--").append(flag.name).append("=").append(
+        flag.arg.empty() ? "1" : args.get_string(flag.name, "")));
   }
-  if (args.has("no-exchange")) flags.push_back("--no-exchange=1");
   return flags;
 }
 
@@ -928,8 +798,8 @@ int cmd_compare(const ArgParser& args) {
 
 /// `fpkit dash --profile <trace.json>`: aggregate one Chrome trace into
 /// per-name self/total/count rows (text or JSON) and, with --flame, a
-/// flamegraph-style SVG. A truncated or unbalanced trace still profiles;
-/// its repair notes ride along in every output format.
+/// flamegraph-style SVG. An unbalanced trace still profiles; its repair
+/// notes ride along in every output format.
 int dash_profile(const ArgParser& args, const std::string& trace_path) {
   const obs::ChromeTrace trace = obs::load_chrome_trace(trace_path);
   const obs::TraceProfile profile = obs::profile_trace(trace);
@@ -944,16 +814,12 @@ int dash_profile(const ArgParser& args, const std::string& trace_path) {
   if (out_path.empty()) {
     std::printf("%s", rendered.c_str());
   } else {
-    std::ofstream out(out_path);
-    out << rendered;
-    require(out.good(), "dash: cannot write '" + out_path + "'");
+    write_file_atomic(out_path, rendered);
     std::printf("wrote %s\n", out_path.c_str());
   }
   const std::string flame_path = args.get_string("flame", "");
   if (!flame_path.empty()) {
-    std::ofstream flame(flame_path);
-    flame << profile.to_flame_svg();
-    require(flame.good(), "dash: cannot write '" + flame_path + "'");
+    write_file_atomic(flame_path, profile.to_flame_svg());
     std::printf("wrote %s\n", flame_path.c_str());
   }
   return 0;
@@ -979,9 +845,7 @@ int dash_merge(const ArgParser& args, const std::string& dir) {
     std::fprintf(stderr, "dash --merge: %s\n", note.c_str());
   }
   const std::string out_path = args.get_string("out", "merged_trace.json");
-  std::ofstream out(out_path);
-  out << merged.json;
-  require(out.good(), "dash: cannot write '" + out_path + "'");
+  write_file_atomic(out_path, merged.json);
   std::printf("wrote %s (%zu note(s))\n", out_path.c_str(),
               merged.notes.size());
   return 0;
@@ -1073,9 +937,7 @@ int cmd_dash(const ArgParser& args) {
   const obs::Dashboard dash =
       obs::build_dashboard(std::move(runs), options);
   const std::string out_path = args.get_string("out", "dash.html");
-  std::ofstream out(out_path);
-  out << dash.to_html();
-  require(out.good(), "dash: cannot write '" + out_path + "'");
+  write_file_atomic(out_path, dash.to_html());
   std::printf("wrote %s (%zu run(s), %zu regression(s))\n",
               out_path.c_str(), dash.runs.size(), dash.regressions.size());
   if (!dash.regressions.empty()) {
@@ -1100,11 +962,11 @@ int cmd_dash(const ArgParser& args) {
 /// '{' as responses.
 int cmd_serve(const ArgParser& args) {
   SessionOptions session;
-  session.grid_spec.nodes_per_side =
-      static_cast<int>(args.get_int("mesh", 32));
-  session.lambda = args.get_double("lambda", 20.0);
-  session.rho = args.get_double("rho", 2.0);
-  session.phi = args.get_double("phi", 1.0);
+  session.grid_spec.nodes_per_side = static_cast<int>(
+      args.get_int("mesh", session.grid_spec.nodes_per_side));
+  session.lambda = args.get_double("lambda", session.lambda);
+  session.rho = args.get_double("rho", session.rho);
+  session.phi = args.get_double("phi", session.phi);
   session.warm_start = !args.has("no-warm-start");
 
   ServeOptions options;
@@ -1142,20 +1004,163 @@ int cmd_serve(const ArgParser& args) {
   return outcome.exit_code();
 }
 
-int dispatch(const std::string& command, const ArgParser& args) {
-  if (command == "generate") return cmd_generate(args);
-  if (command == "info") return cmd_info(args);
-  if (command == "plan" || command == "run") return cmd_plan(args);
-  if (command == "route") return cmd_route(args);
-  if (command == "ir") return cmd_ir(args);
-  if (command == "spice") return cmd_spice(args);
-  if (command == "check") return cmd_check(args);
-  if (command == "batch") return cmd_batch(args);
-  if (command == "farm") return cmd_farm(args);
-  if (command == "compare") return cmd_compare(args);
-  if (command == "dash") return cmd_dash(args);
-  if (command == "serve") return cmd_serve(args);
-  return usage();
+// --- the command table ----------------------------------------------------
+
+constexpr Flag kGenerateFlags[] = {
+    {"table1", "<1..5>", "Table-1 circuit (default 1)"},
+    {"tiers", "N", "die tiers (default 1)"},
+    {"seed", "S", "generator seed (default: the circuit's)"},
+    {"supply", "F", "supply-net fraction (default: the circuit's)"},
+    {"out", "<file.fp>", "output circuit (required)"},
+};
+constexpr Flag kInfoFlags[] = {
+    {"lint", "", "run the Package and Stacking checks; exit 1 on errors"},
+};
+constexpr Flag kRunFlags[] = {
+    {"out-assignment", "<a.fpa>", "write the final assignment"},
+    {"report", "<r.md>", "write a markdown flow report"},
+};
+constexpr Flag kRouteFlags[] = {
+    {"assignment", "<a.fpa>", "route a stored assignment instead"},
+    {"package-svg", "<f.svg>", "whole-package route drawing"},
+    {"svg-prefix", "<p>", "one <p>_<quadrant>.svg per quadrant"},
+};
+constexpr Flag kIrFlags[] = {
+    {"heatmap", "<f.svg>", "IR-drop heat map of the final assignment"},
+};
+constexpr Flag kSpiceFlags[] = {
+    {"out", "<deck.sp>", "output deck (default power_mesh.sp)"},
+};
+constexpr Flag kCheckFlags[] = {
+    {"assignment", "<a.fpa>", "check a stored assignment"},
+    {"format", "text|json|sarif", "stdout format (default text)"},
+    {"json", "", "same as --format json"},
+    {"out", "<f>", "also write the JSON (SARIF with --format sarif)"},
+    {"strict", "", "exit 1 on warnings too"},
+    {"waived", "", "list waived findings"},
+    {"config", "<cfg.json>", "severity/waiver policy [./.fpkit-check.json]"},
+    {"no-config", "", "ignore ./.fpkit-check.json"},
+    {"baseline", "<artifact-dir>", "exit 3 only on findings new since it"},
+    {"audit-run", "<artifact-dir>", "audit a recorded run's configuration"},
+    {"list-rules", "", "print the rule catalogue"},
+};
+constexpr Flag kBatchFlags[] = {
+    {"methods", "m1,m2,...", "methods of the cross product (default dfa)"},
+    {"seeds", "s1,s2,...", "seeds of the cross product (default --seed)"},
+    {"jobs-file", "<jobs.txt>", "one job per line instead of the product"},
+    {"jobs", "N", "worker threads when --threads is absent"},
+};
+constexpr Flag kFarmFlags[] = {
+    {"jobs-file", "<jobs.txt>", "job list (required)"},
+    {"out", "<dir>", "farm directory (required)"},
+    {"workers", "N", "worker processes (default 2)"},
+    {"max-attempts", "K", "attempts per job (default 3)"},
+    {"job-timeout", "S", "wall-clock cap per attempt"},
+    {"hang-timeout", "S", "heartbeat-silence cap per attempt"},
+    {"retry-base-ms", "M", "retry backoff base (default 250)"},
+    {"backoff-seed", "S", "retry jitter seed (default 1)"},
+    {"resume", "<dir>", "finish an interrupted or killed farm"},
+    {"worker", "", "internal: run one job of a farm"},
+    {"job-index", "I", "internal (--worker)"},
+    {"job-out", "<dir>", "internal (--worker)"},
+    {"heartbeat-file", "<f>", "internal (--worker)"},
+};
+constexpr Flag kCompareFlags[] = {
+    {"max-slowdown", "X", "exit 3 when a timing is X times slower"},
+    {"min-time", "S", "timings below S seconds never gate"},
+    {"require-equal-cost", "", "exit 3 when the Eq.-(3) cost differs"},
+};
+constexpr Flag kDashFlags[] = {
+    {"out", "<f>", "output (dash.html; merged_trace.json for --merge)"},
+    {"title", "T", "dashboard title"},
+    {"max-slowdown", "X", "exit 3 on a gated slowdown, as in compare"},
+    {"min-time", "S", "timings below S seconds never gate"},
+    {"profile", "<trace.json>", "self/total profile of one Chrome trace"},
+    {"format", "text|json", "--profile output format (default text)"},
+    {"flame", "<f.svg>", "--profile flame graph"},
+    {"merge", "<farm-dir>", "stitch a farm's per-worker traces"},
+    {"follow", "<farm-dir>", "live farm progress from its journal"},
+    {"poll-ms", "M", "--follow poll interval (default 250)"},
+};
+constexpr Flag kServeFlags[] = {
+    {"mesh", "K", "default power mesh nodes per side of a load"},
+    {"lambda", "L", "default Eq.-(3) IR-drop weight"},
+    {"rho", "R", "default Eq.-(3) density weight"},
+    {"phi", "P", "default Eq.-(3) bonding-wire weight"},
+    {"no-warm-start", "", "solve every evaluate cold"},
+};
+
+struct Command {
+  std::string_view name;
+  std::string_view alias = {};  // a second name; empty = none
+  std::string_view synopsis;    // positional arguments and purpose
+  int (*run)(const ArgParser&);
+  std::span<const Flag> flags;  // the subcommand's own flags
+  bool flow = false;            // also takes kFlowFlags
+  bool drains = false;          // SIGINT/SIGTERM drain gracefully (exit 5)
+  bool recorder = true;         // --artifact-dir records this run
+};
+
+// compare and dash read artifacts rather than produce one; farm writes
+// its own artifact tree into --out, where workers must not collide.
+constexpr Command kCommands[] = {
+    {.name = "generate", .synopsis = "write a Table-1 benchmark circuit",
+     .run = cmd_generate, .flags = kGenerateFlags},
+    {.name = "info", .synopsis = "<circuit.fp>  circuit summary",
+     .run = cmd_info, .flags = kInfoFlags},
+    {.name = "run", .alias = "plan",
+     .synopsis = "<circuit.fp>  assignment + exchange flow report",
+     .run = cmd_run, .flags = kRunFlags, .flow = true, .drains = true},
+    {.name = "route", .synopsis = "<circuit.fp>  route an assignment",
+     .run = cmd_route, .flags = kRouteFlags, .flow = true},
+    {.name = "ir", .synopsis = "<circuit.fp>  flow, then its max IR-drop",
+     .run = cmd_ir, .flags = kIrFlags, .flow = true, .drains = true},
+    {.name = "spice", .synopsis = "<circuit.fp>  SPICE deck of the power mesh",
+     .run = cmd_spice, .flags = kSpiceFlags, .flow = true},
+    {.name = "check",
+     .synopsis = "<circuit.fp>  design-rule analyzer (docs/CHECKS.md)",
+     .run = cmd_check, .flags = kCheckFlags, .flow = true},
+    {.name = "batch", .synopsis = "<circuit.fp>  flows over the worker pool",
+     .run = cmd_batch, .flags = kBatchFlags, .flow = true, .drains = true},
+    {.name = "farm",
+     .synopsis = "<circuit.fp> | --resume <dir>  multi-process batch",
+     .run = cmd_farm, .flags = kFarmFlags, .flow = true, .drains = true,
+     .recorder = false},
+    {.name = "compare", .synopsis = "<runA> <runB>  diff two run artifacts",
+     .run = cmd_compare, .flags = kCompareFlags, .recorder = false},
+    {.name = "dash",
+     .synopsis = "<artifact-dir>...  trend dashboard (docs/DASHBOARD.md)",
+     .run = cmd_dash, .flags = kDashFlags, .recorder = false},
+    {.name = "serve", .synopsis = "JSON-RPC session daemon on stdin/stdout",
+     .run = cmd_serve, .flags = kServeFlags, .drains = true},
+};
+
+/// Prints the command table to stderr; returns the bad-input exit code.
+int usage() {
+  std::string text = "usage: fpkit <command> [flags]\n";
+  std::string flow_commands;
+  for (const Command& command : kCommands) {
+    text.append("\n").append(command.name);
+    if (!command.alias.empty()) {
+      text.append(" (alias ").append(command.alias).append(")");
+    }
+    text.append("  ").append(command.synopsis).append("\n");
+    text += flag_help(command.flags);
+    if (command.flow) {
+      text += "  ...and the flow flags\n";
+      flow_commands.append(" ").append(command.name);
+    }
+  }
+  text.append("\nflow flags (").append(flow_commands, 1).append("):\n");
+  text += flag_help(kFlowFlags);
+  text += "\ncommon flags (every command):\n";
+  text += flag_help(kCommonFlags);
+  text +=
+      "\nexit codes: 0 ok, 1 check violations, 2 invalid input, "
+      "3 degraded result,\n  4 internal error, 5 interrupted "
+      "(SIGINT/SIGTERM graceful drain)\n";
+  std::fputs(text.c_str(), stderr);
+  return 2;
 }
 
 /// Observability flags shared by every subcommand. --trace (or the
@@ -1167,8 +1172,7 @@ struct ObsPaths {
   std::string trace_dir;  // FPKIT_TRACE_DIR: farm-worker dump directory
 };
 
-ObsPaths arm_observability(const ArgParser& args,
-                           const std::string& command) {
+ObsPaths arm_observability(const ArgParser& args, bool recorder) {
   ObsPaths paths;
   paths.trace = args.get_string("trace", "");
   if (paths.trace.empty()) {
@@ -1207,11 +1211,8 @@ ObsPaths arm_observability(const ArgParser& args,
     }
   }
   // The flight recorder wants the full flight: an armed artifact dir
-  // turns on both metrics and tracing. `compare` and `dash` read
-  // artifacts rather than producing one, and `farm` writes its own
-  // artifact tree into --out (its workers must not collide on an
-  // inherited dir either), so all three skip the generic recorder.
-  if (command != "compare" && command != "dash" && command != "farm") {
+  // turns on both metrics and tracing.
+  if (recorder) {
     g_artifact.dir = args.get_string("artifact-dir", "");
     if (g_artifact.dir.empty()) {
       if (const char* env = std::getenv("FPKIT_ARTIFACT_DIR")) {
@@ -1303,25 +1304,33 @@ int exit_code_for(const fp::Error& error) {
 int main(int argc, char** argv) {
   const fp::Timer wall;
   if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const std::string name = argv[1];
+  const auto command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) {
+                     return c.name == name || c.alias == name;
+                   });
+  if (command == std::end(kCommands)) return usage();
   g_argv0 = argv[0];
   fp::obs::set_thread_name("main");
-  // Long-running flow subcommands drain gracefully on SIGINT/SIGTERM
-  // (keep best-so-far, flush artifacts, exit 5); everything else keeps
-  // the default kill-me-now disposition.
-  if (command == "run" || command == "plan" || command == "ir" ||
-      command == "batch" || command == "farm" || command == "serve") {
-    fp::sig::install_graceful();
-  }
+  // Long-running subcommands drain gracefully on SIGINT/SIGTERM (keep
+  // best-so-far, flush artifacts, exit 5); everything else keeps the
+  // default kill-me-now disposition.
+  if (command->drains) fp::sig::install_graceful();
   ObsPaths obs_paths;
   try {
-    const ArgParser args(argc - 1, argv + 1);
+    std::vector<Flag> flags(std::begin(kCommonFlags), std::end(kCommonFlags));
+    flags.insert(flags.end(), command->flags.begin(), command->flags.end());
+    if (command->flow) {
+      flags.insert(flags.end(), std::begin(kFlowFlags), std::end(kFlowFlags));
+    }
+    const ArgParser args(argc - 1, argv + 1, flags);
     // --threads overrides FPKIT_THREADS; 0 (or a bare --threads) = all
-    // cores. Applied before dispatch so every subcommand sees the pool.
+    // cores. Applied before the handler so every subcommand sees the pool.
     if (args.has("threads")) {
       exec::set_default_threads(static_cast<int>(args.get_int("threads", 0)));
     }
-    obs_paths = arm_observability(args, command);
+    obs_paths = arm_observability(args, command->recorder);
     fault::arm_from_env();
     const std::string inject = args.get_string("inject", "");
     if (!inject.empty()) fault::arm(inject);
@@ -1333,18 +1342,18 @@ int main(int argc, char** argv) {
         }
       }
     }
-    const int code = dispatch(command, args);
+    const int code = command->run(args);
     save_observability(obs_paths);
-    save_artifact(command, code, wall.seconds());
+    save_artifact(name, code, wall.seconds());
     return code;
   } catch (const fp::Error& e) {
-    std::fprintf(stderr, "fpkit %s: %s\n", command.c_str(),
+    std::fprintf(stderr, "fpkit %s: %s\n", name.c_str(),
                  e.describe().c_str());
     try {
       save_observability(obs_paths);
-      save_artifact(command, exit_code_for(e), wall.seconds());
+      save_artifact(name, exit_code_for(e), wall.seconds());
     } catch (const fp::Error& save_error) {
-      std::fprintf(stderr, "fpkit %s: %s\n", command.c_str(),
+      std::fprintf(stderr, "fpkit %s: %s\n", name.c_str(),
                    save_error.what());
     }
     return exit_code_for(e);
