@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks of the core kernels, backing the
 // paper's "runtimes for all cases are within seconds" claim: the three
-// assigners, the congestion estimator, the Eq.-(1) solvers and the full
-// co-design flow. The *Threads benchmarks sweep the exec worker-pool
+// assigners, the congestion estimator, the swap engine, the Eq.-(1)
+// solvers and the full co-design flow. The *Threads benchmarks sweep the
+// exec worker-pool
 // size; `--json [path]` additionally writes the fpkit.bench.parallel.v1
 // scaling document (BENCH_parallel.json, see bench_common.h).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 
@@ -13,9 +15,11 @@
 #include "assign/ifa.h"
 #include "assign/random_assigner.h"
 #include "bench_common.h"
+#include "exchange/incremental_cost.h"
 #include "exec/exec.h"
 #include "route/density.h"
 #include "route/router.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -75,6 +79,69 @@ void BM_Router(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Router)->DenseRange(0, 4);
+
+/// The swap engine alone: one iteration is one engine op, an apply (with
+/// the Eq.-(3) read SA makes after it) or an undo. The ops replay legal
+/// swaps pre-drawn by the Fig.-14 move policy -- a supply pad at psi = 1,
+/// any pad at psi > 1 -- keeping 37 % of them (SA's accept ratio on the
+/// e2e `sweep` workload), then undo every kept swap, so the stream
+/// repeats from the DFA order. The Time column is ns per engine op.
+void BM_SwapEngine(benchmark::State& state) {
+  CircuitSpec spec =
+      CircuitGenerator::table1(static_cast<int>(state.range(0)));
+  spec.tier_count = static_cast<int>(state.range(1));
+  const Package package = CircuitGenerator::generate(spec);
+  IncrementalCost engine(package, DfaAssigner().assign(package), 20.0, 2.0,
+                         1.0);
+  const std::vector<NetId> supply = package.netlist().supply_nets();
+  constexpr int kUndo = -1;
+  struct Op {
+    int quadrant;  // kUndo: undo the newest kept swap
+    int left;
+  };
+  std::vector<Op> ops;
+  Rng rng(1);
+  while (ops.size() < 8192) {
+    const auto& quadrants = engine.assignment().quadrants;
+    NetId net = kInvalidNet;
+    if (spec.tier_count > 1) {
+      const auto& order = quadrants[rng.index(quadrants.size())].order;
+      net = order[rng.index(order.size())];
+    } else {
+      net = supply[rng.index(supply.size())];
+    }
+    const IPoint pos = engine.position(net);
+    const int size = static_cast<int>(
+        quadrants[static_cast<std::size_t>(pos.x)].order.size());
+    const int left = std::clamp(rng.chance(0.5) ? pos.y - 1 : pos.y, 0,
+                                size - 2);
+    if (!engine.swap_legal(pos.x, left)) continue;
+    engine.apply_swap(pos.x, left);
+    ops.push_back(Op{pos.x, left});
+    if (!rng.chance(0.37)) {
+      engine.undo_last();
+      ops.push_back(Op{kUndo, 0});
+    }
+  }
+  for (; engine.swap_count() > 0; engine.undo_last()) {
+    ops.push_back(Op{kUndo, 0});
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Op& op = ops[next];
+    if (op.quadrant == kUndo) {
+      engine.undo_last();
+    } else {
+      engine.apply_swap(op.quadrant, op.left);
+      benchmark::DoNotOptimize(engine.current());
+    }
+    if (++next == ops.size()) next = 0;
+  }
+  state.SetLabel(spec.name + " psi " + std::to_string(spec.tier_count));
+}
+BENCHMARK(BM_SwapEngine)
+    ->ArgNames({"circuit", "psi"})
+    ->Args({0, 1})->Args({0, 4})->Args({4, 1})->Args({4, 4});
 
 /// One solve per backend and mesh size, labelled with the backend's
 /// to_string name.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "exec/exec.h"
-#include "exchange/incremental_cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -60,6 +59,13 @@ double ExchangeOptimizer::cost(const PackageAssignment& assignment,
                                     package_->netlist(), tier_count_);
   return options_.lambda * delta_ir + options_.rho * id +
          options_.phi * omega;
+}
+
+double ExchangeOptimizer::cost(const IncrementalCost& state) const {
+  if (options_.ir_mode == IrCostMode::Proxy) return state.current();
+  return options_.lambda * ir_cost(state.assignment()) +
+         options_.rho * state.increased_density() +
+         options_.phi * state.omega();
 }
 
 ExchangeResult ExchangeOptimizer::optimize_multistart(
@@ -137,13 +143,11 @@ ExchangeResult ExchangeOptimizer::optimize(
           "net (Fig. 14 line 7)");
 
   // The swap engine holds the order, its position index and undo journal,
-  // and the Eq.-(3) terms. Proxy mode reads the cost from it (O(log alpha)
-  // per swap); Compact/Exact modes re-solve their IR term on its order.
+  // and the Eq.-(3) terms. Proxy mode reads the cost from it (O(psi) per
+  // swap); Compact/Exact modes re-solve their IR term on its order.
   IncrementalCost state(*package_, initial, options_.lambda, options_.rho,
                         options_.phi);
   const PackageAssignment& current = state.assignment();
-  const IncreasedDensity id_tracker(*package_, initial);
-  const bool proxy = options_.ir_mode == IrCostMode::Proxy;
 
   const Annealer::TryMove try_move =
       [&](Rng& rng) -> std::optional<double> {
@@ -172,7 +176,7 @@ ExchangeResult ExchangeOptimizer::optimize(
     if (!state.swap_legal(pos.x, left)) return std::nullopt;
 
     state.apply_swap(pos.x, left);
-    return proxy ? state.current() : cost(current, id_tracker);
+    return cost(state);
   };
   const Annealer::Undo undo = [&state]() { state.undo_last(); };
 
@@ -181,8 +185,7 @@ ExchangeResult ExchangeOptimizer::optimize(
   result.omega_before = state.omega();
 
   const Annealer annealer(options_.schedule);
-  result.anneal =
-      annealer.run(cost(initial, id_tracker), try_move, undo);
+  result.anneal = annealer.run(cost(state), try_move, undo);
 
   result.ir_cost_after = ir_cost(current);
   result.omega_after = state.omega();

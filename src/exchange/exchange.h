@@ -17,6 +17,7 @@
 
 #include "exchange/annealer.h"
 #include "exchange/increased_density.h"
+#include "exchange/incremental_cost.h"
 #include "package/assignment.h"
 #include "package/package.h"
 #include "power/compact_model.h"
@@ -79,6 +80,8 @@ class ExchangeOptimizer {
   /// Eq. (3) evaluated on an assignment (exposed for tests and ablations).
   [[nodiscard]] double cost(const PackageAssignment& assignment,
                             const IncreasedDensity& id_tracker) const;
+  /// Eq. (3) of the swap engine's order, bit-equal to the cost() above.
+  [[nodiscard]] double cost(const IncrementalCost& state) const;
 
   /// The delta_IR term alone, under the configured IrCostMode (exposed for
   /// the greedy baseline and ablations).

@@ -1,7 +1,5 @@
 #include "exchange/greedy.h"
 
-#include "exchange/incremental_cost.h"
-
 namespace fp {
 
 GreedyExchanger::GreedyExchanger(const Package& package,
@@ -21,13 +19,13 @@ ExchangeResult GreedyExchanger::optimize(
   IncrementalCost state(*package_, initial, options_.cost.lambda,
                         options_.cost.rho, options_.cost.phi);
   const ExchangeOptimizer evaluator(*package_, options_.cost);
-  const IncreasedDensity id_tracker(*package_, initial);
   const PackageAssignment& current = state.assignment();
-  double cur_cost = evaluator.cost(current, id_tracker);
+  double cur_cost = evaluator.cost(state);
 
   ExchangeResult result;
   result.ir_cost_before = evaluator.ir_cost(initial);
   result.omega_before = state.omega();
+  result.anneal.initial_cost = cur_cost;
 
   long long evaluated = 0;
   long long applied = 0;
@@ -52,7 +50,7 @@ ExchangeResult GreedyExchanger::optimize(
 
         state.apply_swap(qi, a);
         ++evaluated;
-        const double cost = evaluator.cost(current, id_tracker);
+        const double cost = evaluator.cost(state);
         state.undo_last();
         if (cost < best_cost) {
           best_cost = cost;
@@ -67,7 +65,6 @@ ExchangeResult GreedyExchanger::optimize(
     ++applied;
   }
 
-  result.anneal.initial_cost = evaluator.cost(initial, id_tracker);
   result.anneal.final_cost = cur_cost;
   result.anneal.best_cost = cur_cost;
   result.anneal.proposed = evaluated;

@@ -11,29 +11,25 @@
 // involution, so undo_last() re-applies the newest journalled swap, and
 // any number of undos rewinds the order swap by swap.
 //
-// Recomputing dispersion, ID and omega in full costs O(alpha) each.
-// Every term changes only locally under an adjacent swap:
-//   * supply dispersion -- only when exactly one swapped net is a supply
-//     net: that pad's ring position moves by one, changing two cyclic
-//     gaps (O(log P) with an ordered position set);
-//   * ID (Eq. 2)        -- only when exactly one swapped net is a top-row
-//     net: one signal net crosses that section boundary, shifting one
-//     unit of load between two adjacent sections (the net's rank comes
-//     from a scan of its row; the max is kept in a multiset, O(log S));
-//   * omega             -- only when the swap straddles a psi-group
-//     boundary: the two touched groups' unions are rebuilt in O(psi),
-//     but from a fresh copy of the alpha-long ring order, so such a swap
-//     still costs O(alpha).
+// Recomputing dispersion, ID and omega in full costs O(alpha) each, but
+// each changes only locally under an adjacent swap. A swap reads tables
+// built once and does no search and no allocation:
+//   * dispersion, O(1) -- supply pads are kept by rank in ring order. A
+//     pad that swaps with a signal pad keeps its rank, so only its gaps to
+//     ranks r-1 and r+1 change; two swapped supply pads trade ranks;
+//   * ID (Eq. 2), O(1) -- when exactly one swapped net is a top-row net,
+//     one signal net moves between two adjacent sections. A histogram of
+//     section deltas (load - baseline) keeps the max, which moves by <= 1;
+//   * omega, O(psi)    -- when the swap straddles a psi-group boundary,
+//     the two touched groups' unions are rebuilt from the slots' tiers.
 // Equivalence with the full recomputation is property-tested over random
 // legal swap and multi-level undo sequences.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
-#include "exchange/increased_density.h"
 #include "geom/point.h"
 #include "package/assignment.h"
 #include "package/package.h"
@@ -86,10 +82,15 @@ class IncrementalCost {
     int quadrant = -1;
     int left_finger = -1;
   };
+  /// Per net; `row` and `top_rank` (-1 off the top row) never change.
+  struct NetEntry {
+    int row = -1;
+    int top_rank = -1;
+    int supply_rank = -1;
+  };
 
   void swap_impl(int quadrant, int left_finger);
 
-  const Package* package_;
   double lambda_;
   double rho_;
   double phi_;
@@ -98,20 +99,23 @@ class IncrementalCost {
 
   PackageAssignment current_;
   std::vector<IPoint> position_;  // per net
+  std::vector<NetEntry> nets_;    // per net
   std::vector<int> ring_offset_;  // per quadrant
   std::vector<Swap> journal_;
 
-  // --- dispersion state ---
-  std::set<int> supply_positions_;
-  double gap_sum_sq_ = 0.0;
+  // --- dispersion: ring slot of each supply pad, by rank ---
+  std::vector<int> supply_pos_;
+  std::int64_t gap_sum_sq_ = 0;
+  double even_gap_sum_sq_ = 0.0;
 
-  // --- Eq.-(2) state ---
-  // Per quadrant: current and baseline section loads; deltas multiset.
-  std::vector<std::vector<int>> loads_;
-  std::vector<std::vector<int>> base_loads_;
-  std::multiset<int> deltas_;
+  // --- Eq. (2): section load minus baseline, flat over quadrants ---
+  std::vector<int> section_offset_;  // per quadrant
+  std::vector<int> delta_;
+  std::vector<int> delta_count_;  // sections per delta, index delta + alpha
+  int max_delta_ = 0;
 
-  // --- omega state ---
+  // --- omega ---
+  std::vector<int> slot_tier_;  // per ring slot
   std::vector<std::uint32_t> group_union_;
   int omega_ = 0;
   std::uint32_t full_mask_ = 0;

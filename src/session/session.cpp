@@ -58,8 +58,9 @@ void DesignSession::touch(int quadrant) {
 }
 
 void DesignSession::apply_swap(int quadrant, int left_finger) {
-  const std::optional<std::string> why = swap_illegal(quadrant, left_finger);
-  require(!why, "DesignSession::apply_swap: " + why.value_or(""));
+  if (const auto why = swap_illegal(quadrant, left_finger)) {
+    throw InvalidArgument("DesignSession::apply_swap: " + *why);
+  }
   state_.apply_swap(quadrant, left_finger);
   touch(quadrant);
   ++stats_.swaps;

@@ -101,6 +101,33 @@ TEST(Greedy, InvalidInputsRejected) {
       InvalidArgument);
 }
 
+// Greedy scores every probe from the swap engine, so its costs must be
+// the cold Eq.-(3) recomputation of the orders it reports, to the bit.
+// Compact mode is left out: its model calibrates on the first pad set it
+// sees, so a fresh optimizer is no bit-exact reference.
+TEST(Greedy, FinalCostEqualsColdRecomputation) {
+  for (const int circuit : {0, 4}) {
+    for (const int tiers : {1, 4}) {
+      CircuitSpec spec = CircuitGenerator::table1(circuit);
+      spec.tier_count = tiers;
+      const Package package = CircuitGenerator::generate(spec);
+      const PackageAssignment initial = DfaAssigner().assign(package);
+      const GreedyOptions options;
+      ASSERT_EQ(options.cost.ir_mode, IrCostMode::Proxy);
+      const ExchangeResult result =
+          GreedyExchanger(package, options).optimize(initial);
+      const IncreasedDensity baseline(package, initial);
+      const ExchangeOptimizer cold(package, options.cost);
+      EXPECT_GT(result.anneal.accepted, 0);
+      EXPECT_EQ(result.anneal.initial_cost, cold.cost(initial, baseline))
+          << "circuit " << circuit + 1 << " psi " << tiers;
+      EXPECT_EQ(result.anneal.final_cost,
+                cold.cost(result.assignment, baseline))
+          << "circuit " << circuit + 1 << " psi " << tiers;
+    }
+  }
+}
+
 TEST(Greedy, CompactModeRuns) {
   const Package package = make_package();
   const PackageAssignment initial = DfaAssigner().assign(package);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "assign/dfa.h"
@@ -31,9 +32,8 @@ void check_equivalence(const Package& package,
                        const IncreasedDensity& baseline) {
   const PackageAssignment& current = incremental.assignment();
   if (!package.netlist().supply_nets().empty()) {
-    EXPECT_NEAR(incremental.dispersion(),
-                supply_dispersion(current.ring_order(), package.netlist()),
-                1e-9);
+    EXPECT_EQ(incremental.dispersion(),
+              supply_dispersion(current.ring_order(), package.netlist()));
   } else {
     EXPECT_DOUBLE_EQ(incremental.dispersion(), 0.0);
   }
@@ -57,12 +57,11 @@ void check_positions(const IncrementalCost& incremental) {
   }
 }
 
-class IncrementalSweep
-    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
-
-TEST_P(IncrementalSweep, MatchesFullRecomputation) {
-  const auto [tiers, seed] = GetParam();
-  const Package package = make_package(tiers, seed);
+/// Random legal swaps and multi-level undos from the DFA order: after
+/// every step the journal rewinds to the saved orders and the position
+/// index matches the order; every few steps each term equals the full
+/// recomputation.
+void sweep_swaps_and_undos(const Package& package, std::uint64_t seed) {
   const PackageAssignment initial = DfaAssigner().assign(package);
   const IncreasedDensity baseline(package, initial);
   IncrementalCost incremental(package, initial, 20.0, 2.0, 1.0);
@@ -117,14 +116,69 @@ TEST_P(IncrementalSweep, MatchesFullRecomputation) {
   options.rho = 2.0;
   options.phi = 1.0;
   const ExchangeOptimizer evaluator(package, options);
-  EXPECT_NEAR(incremental.current(),
-              evaluator.cost(incremental.assignment(), baseline), 1e-9);
+  EXPECT_EQ(incremental.current(),
+            evaluator.cost(incremental.assignment(), baseline));
+  EXPECT_EQ(evaluator.cost(incremental), incremental.current());
+}
+
+class IncrementalSweep
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+
+TEST_P(IncrementalSweep, MatchesFullRecomputation) {
+  const auto [tiers, seed] = GetParam();
+  sweep_swaps_and_undos(make_package(tiers, seed), seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     TiersAndSeeds, IncrementalSweep,
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values<std::uint64_t>(1, 2, 3)));
+
+constexpr int kAllSupply = -1;      // every net a supply net
+constexpr int kDefaultSupply = -2;  // the generator's 25 %
+
+/// (table1 index, tiers, supply nets). With 1-3 supply pads a moving
+/// pad's neighbours at ranks r-1 and r+1 coincide or wrap; with every
+/// net a supply net each swap trades two supply pads' ranks; with none
+/// the dispersion term stays 0.
+class SupplyCountSweep
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(SupplyCountSweep, MatchesFullRecomputation) {
+  const auto [circuit, tiers, supply] = GetParam();
+  CircuitSpec spec = CircuitGenerator::table1(circuit);
+  spec.tier_count = tiers;
+  if (supply == kAllSupply) {
+    spec.supply_fraction = 1.0;
+  } else if (supply >= 0) {
+    spec.supply_fraction = supply / static_cast<double>(spec.finger_count);
+  }
+  const Package package = CircuitGenerator::generate(spec);
+  const std::size_t supply_nets = package.netlist().supply_nets().size();
+  if (supply == kAllSupply) {
+    ASSERT_EQ(supply_nets, package.netlist().size());
+  } else if (supply >= 0) {
+    ASSERT_EQ(supply_nets, static_cast<std::size_t>(supply));
+  }
+  sweep_swaps_and_undos(package, 1);
+}
+
+std::string supply_case_name(
+    const ::testing::TestParamInfo<SupplyCountSweep::ParamType>& info) {
+  const int supply = std::get<2>(info.param);
+  const std::string count = supply == kAllSupply       ? "All"
+                            : supply == kDefaultSupply ? "Default"
+                                                       : std::to_string(supply);
+  return "circuit" + std::to_string(std::get<0>(info.param) + 1) + "_psi" +
+         std::to_string(std::get<1>(info.param)) + "_supply" + count;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Circuits2And5, SupplyCountSweep,
+    ::testing::Combine(::testing::Values(1, 4), ::testing::Values(1, 4),
+                       ::testing::Values(0, 1, 2, 3, kAllSupply,
+                                         kDefaultSupply)),
+    supply_case_name);
 
 TEST(IncrementalCost, UndoWithoutApplyThrows) {
   const Package package = make_package(1);

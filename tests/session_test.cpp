@@ -218,6 +218,15 @@ TEST(DesignSession, SwapIllegalDiagnosesAndApplyThrows) {
   EXPECT_TRUE(session.swap_illegal(0, -1).has_value());
   EXPECT_TRUE(session.swap_illegal(0, 1 << 20).has_value());
   EXPECT_THROW(session.apply_swap(0, -1), InvalidArgument);
+  try {
+    session.apply_swap(0, 1 << 20);
+    FAIL() << "apply_swap accepted an out-of-range finger";
+  } catch (const InvalidArgument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "DesignSession::apply_swap: " +
+                  session.swap_illegal(0, 1 << 20).value());
+  }
+  EXPECT_EQ(session.stats().swaps, 0LL);
 }
 
 }  // namespace
