@@ -1,10 +1,10 @@
 // Google-benchmark microbenchmarks of the core kernels, backing the
 // paper's "runtimes for all cases are within seconds" claim: the three
-// assigners, the congestion estimator, the swap engine, the Eq.-(1)
-// solvers and the full co-design flow. The *Threads benchmarks sweep the
-// exec worker-pool
-// size; `--json [path]` additionally writes the fpkit.bench.parallel.v1
-// scaling document (BENCH_parallel.json, see bench_common.h).
+// assigners, the congestion estimator, the swap engine, the session's
+// evaluate, the Eq.-(1) solvers and the full co-design flow. The *Threads
+// benchmarks sweep the exec worker-pool size; `--json [path]`
+// additionally writes the fpkit.bench.parallel.v1 scaling document
+// (BENCH_parallel.json, see bench_common.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "exec/exec.h"
 #include "route/density.h"
 #include "route/router.h"
+#include "session/session.h"
 #include "util/rng.h"
 
 namespace {
@@ -142,6 +143,69 @@ void BM_SwapEngine(benchmark::State& state) {
 BENCHMARK(BM_SwapEngine)
     ->ArgNames({"circuit", "psi"})
     ->Args({0, 1})->Args({0, 4})->Args({4, 1})->Args({4, 4});
+
+/// One `serve` evaluate cycle on the interactive-session circuit
+/// (bench_serve_session's: 768 fingers, 4 rows per quadrant, psi 2) at
+/// k = 32: one op is 16 pre-drawn legal swaps and one evaluate of the
+/// part named by the capture -- the density figures alone, the checks
+/// alone, or the warm IR solve alone. The 4096 swaps run forward, then
+/// back by undo, so the stream repeats from the DFA order. The Time
+/// column is per op.
+void BM_SessionEvaluate(benchmark::State& state,
+                        SessionEvaluateOptions what) {
+  CircuitSpec spec = CircuitGenerator::table1(2);
+  spec.finger_count = 768;
+  spec.rows_per_quadrant = 4;
+  spec.tier_count = 2;
+  const Package package = CircuitGenerator::generate(spec);
+  SessionOptions options;
+  options.grid_spec = bench::standard_grid();
+  DesignSession session(package, DfaAssigner().assign(package), options);
+
+  constexpr int kSwaps = 4096;
+  constexpr int kSwapsPerOp = 16;
+  std::vector<IPoint> swaps;
+  {
+    DesignSession scratch(package, DfaAssigner().assign(package), options);
+    Rng rng(1);
+    while (static_cast<int>(swaps.size()) < kSwaps) {
+      const int q = static_cast<int>(
+          rng.index(static_cast<std::size_t>(package.quadrant_count())));
+      const int left = static_cast<int>(rng.index(
+          scratch.assignment().quadrants[static_cast<std::size_t>(q)]
+              .order.size() - 1));
+      if (scratch.swap_illegal(q, left)) continue;
+      scratch.apply_swap(q, left);
+      swaps.push_back(IPoint{q, left});
+    }
+  }
+  (void)session.evaluate(what);  // the first solve is cold
+  std::size_t next = 0;
+  bool forward = true;
+  for (auto _ : state) {
+    for (int i = 0; i < kSwapsPerOp; ++i, ++next) {
+      if (forward) {
+        session.apply_swap(swaps[next].x, swaps[next].y);
+      } else {
+        session.undo();
+      }
+    }
+    benchmark::DoNotOptimize(session.evaluate(what));
+    if (next == swaps.size()) {
+      next = 0;
+      forward = !forward;
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_SessionEvaluate, density,
+                  SessionEvaluateOptions{.ir = false, .check = false})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SessionEvaluate, check,
+                  SessionEvaluateOptions{.ir = false, .check = true})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SessionEvaluate, ir,
+                  SessionEvaluateOptions{.ir = true, .check = false})
+    ->Unit(benchmark::kMicrosecond);
 
 /// One solve per backend and mesh size, labelled with the backend's
 /// to_string name.

@@ -2,7 +2,7 @@
 // (one net per finger), and the monotone-routability rule every
 // downstream router assumes.
 #include <algorithm>
-#include <unordered_set>
+#include <vector>
 
 #include "analysis/rules.h"
 #include "route/legality.h"
@@ -61,7 +61,8 @@ void assign_permutation(const CheckContext& context,
     const Quadrant& q = package.quadrant(qi);
     const QuadrantAssignment& qa =
         context.assignment->quadrants[static_cast<std::size_t>(qi)];
-    std::unordered_set<NetId> seen;
+    std::vector<char> seen(package.netlist().size(), 0);
+    int distinct = 0;
     for (const NetId net : qa.order) {
       if (net < 0 ||
           static_cast<std::size_t>(net) >= package.netlist().size()) {
@@ -74,14 +75,17 @@ void assign_permutation(const CheckContext& context,
                   package.netlist().net(net).name +
                   "' has no bump in this quadrant");
       }
-      if (!seen.insert(net).second) {
+      char& mark = seen[static_cast<std::size_t>(net)];
+      if (mark != 0) {
         emit.emit("quadrant '" + q.name() + "': net '" +
                   package.netlist().net(net).name +
                   "' occupies two fingers (one net per finger/pad)");
+      } else {
+        mark = 1;
+        ++distinct;
       }
     }
-    if (qa.size() == q.finger_count() &&
-        static_cast<int>(seen.size()) < q.finger_count()) {
+    if (qa.size() == q.finger_count() && distinct < q.finger_count()) {
       emit.emit("quadrant '" + q.name() + "': a bumped net is missing from "
                 "the finger row");
     }

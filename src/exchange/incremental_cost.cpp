@@ -137,12 +137,12 @@ void IncrementalCost::apply_swap(int quadrant, int left_finger) {
   journal_.push_back(Swap{quadrant, left_finger});
 }
 
-int IncrementalCost::undo_last() {
+IPoint IncrementalCost::undo_last() {
   require(!journal_.empty(), "IncrementalCost: nothing to undo");
   const Swap last = journal_.back();
   journal_.pop_back();
   swap_impl(last.quadrant, last.left_finger);
-  return last.quadrant;
+  return IPoint{last.quadrant, last.left_finger};
 }
 
 // The caller has checked swap_legal(): apply_swap() directly, undo_last()

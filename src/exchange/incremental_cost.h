@@ -70,9 +70,10 @@ class IncrementalCost {
   /// journals it; throws InvalidArgument unless swap_legal().
   void apply_swap(int quadrant, int left_finger);
 
-  /// Reverts the newest journalled swap and returns its quadrant; throws
-  /// InvalidArgument when the journal is empty.
-  int undo_last();
+  /// Reverts the newest journalled swap and returns where it was: x =
+  /// quadrant, y = left finger. Throws InvalidArgument when the journal
+  /// is empty.
+  IPoint undo_last();
 
   /// Swaps currently applied (journal depth).
   [[nodiscard]] std::size_t swap_count() const { return journal_.size(); }

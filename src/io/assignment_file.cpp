@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/faultpoint.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace fp {
@@ -32,12 +33,7 @@ std::string write_assignment(const Package& package,
 void save_assignment(const Package& package,
                      const PackageAssignment& assignment,
                      const std::string& path) {
-  std::ofstream file(path);
-  if (!file) throw IoError("save_assignment: cannot open '" + path + "'");
-  file << write_assignment(package, assignment);
-  if (!file) {
-    throw IoError("save_assignment: write to '" + path + "' failed");
-  }
+  write_file_atomic(path, write_assignment(package, assignment));
 }
 
 PackageAssignment read_assignment(std::istream& in, const Package& package) {

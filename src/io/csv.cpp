@@ -1,8 +1,7 @@
 #include "io/csv.h"
 
-#include <fstream>
-
 #include "util/error.h"
+#include "util/file.h"
 
 namespace fp {
 
@@ -41,10 +40,7 @@ std::string CsvWriter::str() const {
 }
 
 void CsvWriter::save(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) throw IoError("CsvWriter: cannot open '" + path + "' for write");
-  file << str();
-  if (!file) throw IoError("CsvWriter: write to '" + path + "' failed");
+  write_file_atomic(path, str());
 }
 
 }  // namespace fp

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "util/error.h"
+#include "util/file.h"
 
 namespace fp {
 namespace {
@@ -104,10 +104,7 @@ std::string SvgCanvas::str() const {
 }
 
 void SvgCanvas::save(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) throw IoError("SvgCanvas: cannot open '" + path + "' for write");
-  file << str();
-  if (!file) throw IoError("SvgCanvas: write to '" + path + "' failed");
+  write_file_atomic(path, str());
 }
 
 std::string heat_color(double t) {

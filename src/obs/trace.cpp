@@ -28,9 +28,11 @@ struct TraceStore {
   TraceProcess process;
 };
 
+// Never destroyed: exec-pool workers may still name their thread or
+// record a span while static destructors run at exit.
 TraceStore& store() {
-  static TraceStore instance;
-  return instance;
+  static TraceStore* const instance = new TraceStore;
+  return *instance;
 }
 
 /// Microseconds since the process-wide trace epoch (first use).

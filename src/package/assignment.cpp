@@ -15,11 +15,16 @@ int QuadrantAssignment::finger_of(NetId net) const {
 bool is_permutation_of(const QuadrantAssignment& assignment,
                        const Quadrant& quadrant) {
   if (assignment.size() != quadrant.net_count()) return false;
-  std::vector<NetId> a = assignment.order;
-  std::vector<NetId> b = quadrant.all_nets();
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
+  // Same size and every entry a distinct member: each net exactly once.
+  // A non-member (any id a file may carry) is rejected before it indexes.
+  std::vector<char> seen(quadrant.net_id_span(), 0);
+  for (const NetId net : assignment.order) {
+    if (!quadrant.contains(net)) return false;
+    char& mark = seen[static_cast<std::size_t>(net - quadrant.min_net_id())];
+    if (mark != 0) return false;
+    mark = 1;
+  }
+  return true;
 }
 
 int PackageAssignment::total_fingers() const {

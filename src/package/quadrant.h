@@ -20,6 +20,7 @@
 // row. All positions are micrometres.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,12 @@ class Quadrant {
   [[nodiscard]] std::vector<NetId> all_nets() const;
   /// True if `net` has its bump in this quadrant.
   [[nodiscard]] bool contains(NetId net) const;
+  /// The quadrant's net ids all lie in [min_net_id(), min_net_id() +
+  /// net_id_span()), for id-indexed scratch arrays.
+  [[nodiscard]] NetId min_net_id() const { return min_net_; }
+  [[nodiscard]] std::size_t net_id_span() const {
+    return bump_of_net_.size();
+  }
   /// Row of `net`'s bump; requires contains(net).
   [[nodiscard]] int net_row(NetId net) const;
   /// Column of `net`'s bump; requires contains(net).

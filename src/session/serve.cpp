@@ -206,8 +206,6 @@ obs::Json handle_stats(const DesignSession& session) {
   put("undos", s.undos);
   put("evaluations", s.evaluations);
   put("cold_evaluations", s.cold_evaluations);
-  put("density_rebuilds", s.density_rebuilds);
-  put("density_reuses", s.density_reuses);
   put("router_memo_hits", s.router_memo_hits);
   put("router_memo_misses", s.router_memo_misses);
   put("warm_solves", s.warm_solves);

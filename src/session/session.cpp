@@ -5,10 +5,20 @@
 #include "exchange/increased_density.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "route/density.h"
 #include "route/global_router.h"
+#include "route/router.h"
 #include "util/error.h"
 
 namespace fp {
+namespace {
+
+/// One finger's flyline, finger -> via -> bump (MonotonicRouter's sum).
+double flyline_term(Point finger, Point via, double via_to_bump_um) {
+  return euclidean(finger, via) + via_to_bump_um;
+}
+
+}  // namespace
 
 DesignSession::DesignSession(const Package& package,
                              PackageAssignment initial,
@@ -23,9 +33,43 @@ DesignSession::DesignSession(const Package& package,
   require(options_.lambda >= 0.0 && options_.rho >= 0.0 &&
               options_.phi >= 0.0,
           "DesignSession: Eq.-(3) weights must be non-negative");
-  quads_.resize(static_cast<std::size_t>(package.quadrant_count()));
   engine_ = CheckEngine(CheckEngineOptions{options_.check_config,
                                            options_.check_stage_mask});
+
+  // The congestion model: DensityMap's rows under the default bottom-left
+  // plan and Balanced crossing, a histogram of every gap's count, and the
+  // flyline term of every finger. Swaps then keep all three (follow_swap).
+  sites_.assign(package.netlist().size(), NetSite{});
+  gaps_at_.assign(static_cast<std::size_t>(package.finger_count()) + 1, 0);
+  quads_.resize(static_cast<std::size_t>(package.quadrant_count()));
+  for (int qi = 0; qi < package.quadrant_count(); ++qi) {
+    const Quadrant& q = package.quadrant(qi);
+    const QuadrantAssignment& qa =
+        initial_.quadrants[static_cast<std::size_t>(qi)];
+    QuadState& quad = quads_[static_cast<std::size_t>(qi)];
+    const DensityMap density(q, qa);
+    for (int r = 0; r < q.row_count(); ++r) {
+      quad.gap_densities.push_back(density.row_densities(r));
+      for (const int count : quad.gap_densities.back()) {
+        ++gaps_at_[static_cast<std::size_t>(count)];
+        max_density_ = std::max(max_density_, count);
+      }
+      const std::vector<NetId>& row = q.row_nets(r);
+      for (int c = 0; c < static_cast<int>(row.size()); ++c) {
+        const Point via = q.via_position(r, c);
+        sites_[static_cast<std::size_t>(row[static_cast<std::size_t>(c)])] =
+            NetSite{r, c, via, euclidean(via, q.bump_position(r, c))};
+      }
+    }
+    for (int a = 0; a < qa.size(); ++a) {
+      const Point finger = q.finger_position(a);
+      const NetId net = qa.order[static_cast<std::size_t>(a)];
+      const NetSite& site = sites_[static_cast<std::size_t>(net)];
+      quad.fingers.push_back(finger);
+      quad.flyline_um.push_back(
+          flyline_term(finger, site.via, site.via_to_bump_um));
+    }
+  }
 }
 
 std::optional<std::string> DesignSession::swap_illegal(
@@ -50,52 +94,89 @@ std::optional<std::string> DesignSession::swap_illegal(
          "(monotone rule)";
 }
 
-void DesignSession::touch(int quadrant) {
-  QuadCache& cache = quads_[static_cast<std::size_t>(quadrant)];
-  cache.valid = false;
-  cache.global_valid = false;
-  engine_.note_swap();
-}
-
 void DesignSession::apply_swap(int quadrant, int left_finger) {
   if (const auto why = swap_illegal(quadrant, left_finger)) {
     throw InvalidArgument("DesignSession::apply_swap: " + *why);
   }
   state_.apply_swap(quadrant, left_finger);
-  touch(quadrant);
+  follow_swap(quadrant, left_finger);
   ++stats_.swaps;
   if (obs::metrics_enabled()) obs::count("session.swaps");
 }
 
 bool DesignSession::undo() {
   if (state_.swap_count() == 0) return false;
-  touch(state_.undo_last());
+  const IPoint undone = state_.undo_last();
+  follow_swap(undone.x, undone.y);
   ++stats_.undos;
   if (obs::metrics_enabled()) obs::count("session.undos");
   return true;
 }
 
-const DesignSession::QuadCache& DesignSession::ensure_quadrant(
-    int quadrant) {
-  QuadCache& cache = quads_[static_cast<std::size_t>(quadrant)];
-  if (cache.valid) {
-    ++stats_.density_reuses;
-    return cache;
+// The engine has just swapped fingers (f, f+1) of `quadrant`; an undo is
+// the same swap again. The two nets bump on rows ra != rb, and only bump
+// line r = max(ra, rb) sees a change: there one of them terminates, at
+// column c, and the other crosses. Terminators left of a crosser pick its
+// gap window, so the crosser steps from window c to c+1 when it started
+// left of the terminator, and from c+1 to c when it started right of it.
+// Above line r both nets cross in one window; between the two rows only
+// the deeper net crosses, and no terminator passes it.
+void DesignSession::follow_swap(int quadrant, int left_finger) {
+  QuadState& quad = quads_[static_cast<std::size_t>(quadrant)];
+  const auto& order =
+      assignment().quadrants[static_cast<std::size_t>(quadrant)].order;
+  const auto f = static_cast<std::size_t>(left_finger);
+  const NetSite& was_left = sites_[static_cast<std::size_t>(order[f + 1])];
+  const NetSite& was_right = sites_[static_cast<std::size_t>(order[f])];
+  const bool crosser_was_left = was_left.row < was_right.row;
+  const NetSite& terminator = crosser_was_left ? was_right : was_left;
+  std::vector<int>& counts =
+      quad.gap_densities[static_cast<std::size_t>(terminator.row)];
+  move_crosser(counts, crosser_was_left ? terminator.col
+                                        : terminator.col + 1, -1);
+  move_crosser(counts, crosser_was_left ? terminator.col + 1
+                                        : terminator.col, +1);
+
+  quad.flyline_um[f] =
+      flyline_term(quad.fingers[f], was_right.via, was_right.via_to_bump_um);
+  quad.flyline_um[f + 1] = flyline_term(quad.fingers[f + 1], was_left.via,
+                                        was_left.via_to_bump_um);
+
+  quad.global_valid = false;
+  engine_.note_swap();
+}
+
+// Adds `by` crossers to gap window `window` of one line with m bumps.
+// Under the bottom-left plan a window t < m is the single gap t; window m,
+// right of the last terminator, spreads its k crossers Balanced over gaps
+// m and m+1 (DensityMap puts crosser u in gap m + 2u/k), ceil(k/2) and
+// floor(k/2). Either way exactly one gap count moves by `by`.
+void DesignSession::move_crosser(std::vector<int>& counts, int window,
+                                 int by) {
+  const std::size_t m = counts.size() - 2;
+  auto gap = static_cast<std::size_t>(window);
+  if (gap == m) {
+    const int k = counts[m] + counts[m + 1] + by;
+    if (counts[m] == (k + 1) / 2) gap = m + 1;
   }
-  const MonotonicRouter router(options_.routing);
-  const QuadrantRoute route = router.route(
-      package_->quadrant(quadrant),
-      assignment().quadrants[static_cast<std::size_t>(quadrant)]);
-  cache.max_density = route.max_density;
-  cache.flyline_um = route.total_flyline_um;
-  cache.gap_densities = route.gap_densities;
-  cache.valid = true;
-  ++stats_.density_rebuilds;
-  return cache;
+  step_gap(counts[gap], by);
+}
+
+// Moves one gap count by +-1 in the package's count histogram; the max
+// pointer then moves at most one step.
+void DesignSession::step_gap(int& count, int by) {
+  --gaps_at_[static_cast<std::size_t>(count)];
+  count += by;
+  ++gaps_at_[static_cast<std::size_t>(count)];
+  if (count > max_density_) {
+    max_density_ = count;
+  } else if (gaps_at_[static_cast<std::size_t>(max_density_)] == 0) {
+    --max_density_;
+  }
 }
 
 int DesignSession::ensure_global(int quadrant) {
-  QuadCache& cache = quads_[static_cast<std::size_t>(quadrant)];
+  QuadState& cache = quads_[static_cast<std::size_t>(quadrant)];
   if (cache.global_valid) {
     ++stats_.router_memo_hits;
     return cache.global_max_density;
@@ -112,17 +193,16 @@ int DesignSession::ensure_global(int quadrant) {
 }
 
 const std::vector<std::vector<int>>& DesignSession::density_rows(
-    int quadrant) {
+    int quadrant) const {
   require(quadrant >= 0 && quadrant < package_->quadrant_count(),
           "DesignSession::density_rows: quadrant out of range");
-  return ensure_quadrant(quadrant).gap_densities;
+  return quads_[static_cast<std::size_t>(quadrant)].gap_densities;
 }
 
 CheckContext DesignSession::make_context() const {
   CheckContext context;
   context.package = package_;
   context.assignment = &state_.assignment();
-  context.strategy = options_.routing;
   context.grid_spec = options_.grid_spec;
   context.solver = options_.solver;
   context.stacking = options_.stacking;
@@ -137,10 +217,13 @@ SessionEvaluation DesignSession::evaluate(
   ev.dispersion = state_.dispersion();
   ev.increased_density = state_.increased_density();
   ev.omega = state_.omega();
-  for (int qi = 0; qi < package_->quadrant_count(); ++qi) {
-    const QuadCache& cache = ensure_quadrant(qi);
-    ev.max_density = std::max(ev.max_density, cache.max_density);
-    ev.flyline_um += cache.flyline_um;
+  ev.max_density = max_density_;
+  // Per quadrant in finger order, then quadrant by quadrant: the router's
+  // summation order, so the total keeps its bits.
+  for (const QuadState& quad : quads_) {
+    double quadrant_um = 0.0;
+    for (const double term : quad.flyline_um) quadrant_um += term;
+    ev.flyline_um += quadrant_um;
   }
   if (what.global_route) {
     ev.have_global = true;
@@ -197,7 +280,7 @@ SessionEvaluation DesignSession::evaluate_cold(
                              tier_count_);
   ev.cost = options_.lambda * ev.dispersion +
             options_.rho * ev.increased_density + options_.phi * ev.omega;
-  ev.max_density = max_density(*package_, current, options_.routing);
+  ev.max_density = max_density(*package_, current);
   ev.flyline_um = total_flyline_um(*package_, current);
   if (what.global_route) {
     ev.have_global = true;

@@ -10,14 +10,17 @@
 //                         that the SA loop and greedy also drive: it owns
 //                         the order, the undo journal and the Eq.-(3)
 //                         terms, updated per swap without a rescan.
-//   * congestion map   -- per-quadrant DensityMap/flyline caches; a swap
-//                         invalidates only its own quadrant, so evaluate
-//                         rebuilds O(affected-quadrant) instead of the
-//                         whole package (untouched quadrants re-use maps
-//                         bit-identical to a fresh rebuild).
+//   * congestion map   -- every quadrant's Balanced gap densities (seeded
+//                         from DensityMap at load), a histogram of gap
+//                         counts with a max pointer, and one flyline term
+//                         per finger, all kept per swap in O(1): a legal
+//                         adjacent swap moves one crossing net between
+//                         two gap windows of one bump line, and changes
+//                         the flylines of the two swapped fingers only.
+//                         evaluate builds no route.
 //   * global router    -- per-quadrant memo of the two-layer improvement
-//                         result, keyed the same way (touched nets live
-//                         in the touched quadrant).
+//                         result; a swap invalidates only its own
+//                         quadrant (touched nets live in it).
 //   * IR-drop          -- persistent mesh + warm-started re-solve: the
 //                         previous voltage field seeds the next solve
 //                         (SolverOptions::warm_start), converging in a
@@ -42,14 +45,13 @@
 #include "analysis/engine.h"
 #include "exchange/incremental_cost.h"
 #include "geom/grid2d.h"
+#include "geom/point.h"
 #include "package/assignment.h"
 #include "package/package.h"
 #include "power/ir_analysis.h"
 #include "power/pad_ring.h"
 #include "power/power_grid.h"
 #include "power/solver.h"
-#include "route/density.h"
-#include "route/router.h"
 #include "stack/stacking.h"
 
 namespace fp {
@@ -63,7 +65,6 @@ struct SessionOptions {
   PowerGridSpec grid_spec;
   SolverOptions solver;
   StackingSpec stacking;
-  CrossingStrategy routing = CrossingStrategy::Balanced;
   /// Seed IR re-solves from the previous voltage field. Off = every
   /// solve is cold and bit-identical to the one-shot analyze_ir path.
   bool warm_start = true;
@@ -107,8 +108,6 @@ struct SessionStats {
   long long undos = 0;
   long long evaluations = 0;
   long long cold_evaluations = 0;
-  long long density_rebuilds = 0;   // quadrant maps rebuilt
-  long long density_reuses = 0;     // quadrant maps served from cache
   long long router_memo_hits = 0;
   long long router_memo_misses = 0;
   long long warm_solves = 0;
@@ -158,8 +157,8 @@ class DesignSession {
   /// The delta-maintained Eq.-(3) cost of the current assignment (O(1)).
   [[nodiscard]] double cost() const { return state_.current(); }
 
-  /// Incremental evaluation of the current assignment: cached quadrant
-  /// maps, warm-started IR solve, dirty-rule-only checks.
+  /// Incremental evaluation of the current assignment: the per-swap
+  /// density figures, warm-started IR solve, dirty-rule-only checks.
   [[nodiscard]] SessionEvaluation evaluate(
       const SessionEvaluateOptions& what = {});
 
@@ -169,10 +168,10 @@ class DesignSession {
   [[nodiscard]] SessionEvaluation evaluate_cold(
       const SessionEvaluateOptions& what = {}) const;
 
-  /// Cached per-quadrant gap densities (rebuilding if stale) -- exposed
-  /// so tests can compare the delta-maintained maps against fresh ones.
+  /// The per-swap gap densities of one quadrant, [row][gap] -- exposed
+  /// so tests can compare them against a fresh DensityMap's rows.
   [[nodiscard]] const std::vector<std::vector<int>>& density_rows(
-      int quadrant);
+      int quadrant) const;
 
   [[nodiscard]] const SessionStats& stats() const { return stats_; }
   [[nodiscard]] const CheckEngine::Stats& check_stats() const {
@@ -180,17 +179,25 @@ class DesignSession {
   }
 
  private:
-  struct QuadCache {
-    bool valid = false;
-    int max_density = 0;
-    double flyline_um = 0.0;
-    std::vector<std::vector<int>> gap_densities;
+  /// Per net, fixed at load: where its bump is, its via (bottom-left
+  /// plan) and the via-to-bump part of its flyline.
+  struct NetSite {
+    int row = -1;
+    int col = -1;
+    Point via;
+    double via_to_bump_um = 0.0;
+  };
+  struct QuadState {
+    std::vector<std::vector<int>> gap_densities;  // [row][gap]
+    std::vector<Point> fingers;                   // finger positions
+    std::vector<double> flyline_um;               // per finger
     bool global_valid = false;
     int global_max_density = 0;
   };
 
-  void touch(int quadrant);
-  const QuadCache& ensure_quadrant(int quadrant);
+  void follow_swap(int quadrant, int left_finger);
+  void move_crosser(std::vector<int>& counts, int window, int by);
+  void step_gap(int& count, int by);
   int ensure_global(int quadrant);
   [[nodiscard]] CheckContext make_context() const;
 
@@ -200,7 +207,10 @@ class DesignSession {
   bool has_supply_;
   PackageAssignment initial_;
   IncrementalCost state_;
-  std::vector<QuadCache> quads_;
+  std::vector<NetSite> sites_;  // per net
+  std::vector<QuadState> quads_;
+  std::vector<int> gaps_at_;    // gaps holding each density value
+  int max_density_ = 0;
   PowerGrid grid_;
   PadRing ring_;
   std::optional<Grid2D<double>> last_voltage_;

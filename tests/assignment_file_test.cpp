@@ -2,6 +2,7 @@
 // inconsistent files.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "assign/dfa.h"
@@ -56,6 +57,38 @@ TEST(AssignmentFile, RejectsNonPermutation) {
   // Now the line has one duplicate and one extra entry.
   std::istringstream in(text);
   EXPECT_THROW((void)read_assignment(in, package), IoError);
+}
+
+// The largest id the format accepts, in a line of the right length: a
+// clean "not a permutation" error, not an id-sized allocation.
+TEST(AssignmentFile, RejectsLargestNetIdAsNonPermutation) {
+  const Package package = small_package();
+  std::string text =
+      write_assignment(package, DfaAssigner().assign(package));
+  const std::size_t id_start =
+      text.find("quadrant bottom ") + std::string("quadrant bottom ").size();
+  const std::size_t id_end = text.find(' ', id_start);
+  text.replace(id_start, id_end - id_start, "2147483647");
+  std::istringstream in(text);
+  try {
+    (void)read_assignment(in, package);
+    FAIL() << "read_assignment accepted net id 2147483647";
+  } catch (const IoError& error) {
+    EXPECT_NE(std::string(error.what()).find("not a permutation"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(AssignmentFile, SaveLeavesNoPartialFile) {
+  const Package package = small_package();
+  const std::string path = ::testing::TempDir() + "/atomic.fpa";
+  save_assignment(package, DfaAssigner().assign(package), path);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp-partial"));
+  EXPECT_THROW(save_assignment(package, DfaAssigner().assign(package),
+                               ::testing::TempDir() + "/no/such/dir/a.fpa"),
+               IoError);
 }
 
 TEST(AssignmentFile, RejectsWrongQuadrantName) {

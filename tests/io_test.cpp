@@ -2,7 +2,9 @@
 // rejection, CSV, tables, SVG primitives.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "io/circuit_file.h"
@@ -148,6 +150,9 @@ TEST(Csv, SaveWritesFile) {
   std::string line;
   ASSERT_TRUE(std::getline(file, line));
   EXPECT_EQ(line, "a");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp-partial"));
+  EXPECT_THROW(csv.save(::testing::TempDir() + "/no/such/dir/t.csv"),
+               IoError);
 }
 
 // ---------------------------------------------------------------- table ----
@@ -192,6 +197,20 @@ TEST(Svg, ElementsAppear) {
   EXPECT_NE(svg.find("<rect"), std::string::npos);
   EXPECT_NE(svg.find("hello"), std::string::npos);
   EXPECT_NE(svg.find("<polyline"), std::string::npos);
+}
+
+TEST(Svg, SaveWritesWholeFile) {
+  SvgCanvas canvas(Rect{0.0, 0.0, 1.0, 1.0}, 100.0);
+  canvas.circle({0.5, 0.5}, 2.0, "blue");
+  const std::string path = ::testing::TempDir() + "/t.svg";
+  canvas.save(path);
+  std::ifstream file(path);
+  const std::string text((std::istreambuf_iterator<char>(file)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, canvas.str());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp-partial"));
+  EXPECT_THROW(canvas.save(::testing::TempDir() + "/no/such/dir/t.svg"),
+               IoError);
 }
 
 TEST(Svg, DegenerateWorldRejected) {

@@ -152,6 +152,16 @@ TEST(Assignment, PermutationCheck) {
   QuadrantAssignment foreign;
   foreign.order = {1, 3, 0, 5, 9};
   EXPECT_FALSE(is_permutation_of(foreign, q));
+
+  // Right-sized orders with ids outside every quadrant's range; the check
+  // must reject them before using them as an index.
+  QuadrantAssignment negative;
+  negative.order = {1, 3, 0, 5, -1};
+  EXPECT_FALSE(is_permutation_of(negative, q));
+
+  QuadrantAssignment huge;
+  huge.order = {1, 3, 0, 5, 2147483647};
+  EXPECT_FALSE(is_permutation_of(huge, q));
 }
 
 TEST(Assignment, RingOrderConcatenatesQuadrants) {

@@ -157,6 +157,17 @@ TEST(Serve, ScriptedSessionRoundTrip) {
   EXPECT_FALSE(incremental.at("cold").as_bool());
   EXPECT_TRUE(cold.at("cold").as_bool());
 
+  // `stats` returns exactly the counters docs/SERVE.md lists.
+  std::vector<std::string> stats_keys;
+  for (const auto& [key, value] : responses[5].at("result").fields()) {
+    stats_keys.push_back(key);
+  }
+  EXPECT_EQ(stats_keys,
+            (std::vector<std::string>{
+                "check", "cold_evaluations", "cold_solves", "evaluations",
+                "router_memo_hits", "router_memo_misses", "swaps", "undos",
+                "warm_solves"}));
+
   // The checkpoint is a loadable assignment of the drained state.
   const Package package = load_circuit(circuit);
   const PackageAssignment restored =

@@ -1,16 +1,20 @@
 // The session layer's O(affected-nets) contract (docs/SERVE.md): after
 // any stream of random legal adjacent swaps (and undos), the delta paths
-// -- Eq.-(3) cost, per-quadrant density maps, memoized global routing,
+// -- Eq.-(3) cost, per-swap gap densities, memoized global routing,
 // warm-started IR re-solve, dirty-rule-only checks -- must agree with a
 // from-scratch evaluation of the same assignment.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "analysis/check.h"
 #include "assign/dfa.h"
+#include "assign/random_assigner.h"
 #include "obs/json.h"
 #include "package/circuit_generator.h"
+#include "route/density.h"
 #include "route/router.h"
 #include "session/session.h"
 #include "util/error.h"
@@ -110,7 +114,6 @@ TEST_P(SessionSweep, IncrementalMatchesColdOverSwapStream) {
   }
   EXPECT_GT(applied, 20);
   expect_matches_cold(session, /*global_route=*/true);
-  EXPECT_GT(session.stats().density_reuses, 0);
   EXPECT_GT(session.stats().warm_solves, 0);
 }
 
@@ -126,7 +129,7 @@ TEST(DesignSession, DensityMapsBitIdenticalToRebuild) {
   Rng rng(99);
   for (int step = 0; step < 60; ++step) random_swap(session, rng);
 
-  const MonotonicRouter router(session.options().routing);
+  const MonotonicRouter router;
   for (int qi = 0; qi < package.quadrant_count(); ++qi) {
     const QuadrantRoute fresh = router.route(
         package.quadrant(qi),
@@ -134,6 +137,99 @@ TEST(DesignSession, DensityMapsBitIdenticalToRebuild) {
     EXPECT_EQ(session.density_rows(qi), fresh.gap_densities)
         << "quadrant " << qi;
   }
+}
+
+// The interactive-session circuit of bench_serve_session and the e2e
+// `serve` workload: 768 fingers, 4 bump rows per quadrant, psi = 2.
+Package serve_package() {
+  CircuitSpec spec = CircuitGenerator::table1(2);
+  spec.finger_count = 768;
+  spec.rows_per_quadrant = 4;
+  spec.tier_count = 2;
+  return CircuitGenerator::generate(spec);
+}
+
+/// Drives `swaps` random legal swaps with an undo after every 8th (the
+/// `serve` mix). After each swap or undo, the touched quadrant's per-swap
+/// rows must equal a fresh DensityMap's; every 64 steps, the package max
+/// must equal max_density() and the flyline total the router's, bit for
+/// bit.
+void expect_density_model_exact(const Package& package,
+                                const PackageAssignment& start, int swaps,
+                                std::uint64_t seed) {
+  DesignSession session(package, start, small_mesh_options());
+  const MonotonicRouter router;
+  const SessionEvaluateOptions figures_only{.ir = false, .check = false};
+  Rng rng(seed);
+  int steps = 0;
+  const auto check_step = [&](int quadrant) {
+    const auto q = static_cast<std::size_t>(quadrant);
+    const DensityMap fresh(package.quadrant(quadrant),
+                           session.assignment().quadrants[q]);
+    const auto& rows = session.density_rows(quadrant);
+    for (int r = 0; r < fresh.row_count(); ++r) {
+      ASSERT_EQ(rows[static_cast<std::size_t>(r)], fresh.row_densities(r))
+          << "step " << steps << ", quadrant " << quadrant << ", row " << r;
+    }
+    if (++steps % 64 != 0) return;
+    const SessionEvaluation ev = session.evaluate(figures_only);
+    ASSERT_EQ(ev.max_density, max_density(package, session.assignment()))
+        << "step " << steps;
+    ASSERT_EQ(ev.flyline_um,
+              router.route(package, session.assignment()).total_flyline_um)
+        << "step " << steps;
+  };
+  for (int applied = 0; applied < swaps;) {
+    const int qi = static_cast<int>(
+        rng.index(static_cast<std::size_t>(package.quadrant_count())));
+    const auto& order =
+        session.assignment().quadrants[static_cast<std::size_t>(qi)].order;
+    const int left = static_cast<int>(rng.index(order.size() - 1));
+    if (session.swap_illegal(qi, left)) continue;
+    session.apply_swap(qi, left);
+    ++applied;
+    check_step(qi);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (applied % 8 == 0) {
+      ASSERT_TRUE(session.undo());
+      check_step(qi);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(session.stats().undos, swaps / 8);
+}
+
+/// (psi, seed) of one stream.
+class DensityModelStream
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+
+// Odd seeds start from a random legal order, even ones from DFA, so the
+// streams see the max density both rise and fall.
+TEST_P(DensityModelStream, MatchesFreshDensityMapAfterEverySwapAndUndo) {
+  const auto [tiers, seed] = GetParam();
+  const Package package = make_package(tiers, seed);
+  const PackageAssignment start = seed % 2 == 1
+                                      ? RandomAssigner(seed).assign(package)
+                                      : DfaAssigner().assign(package);
+  expect_density_model_exact(package, start, 4096, seed * 31 + 7);
+}
+
+std::string model_stream_name(
+    const ::testing::TestParamInfo<DensityModelStream::ParamType>& info) {
+  return "psi" + std::to_string(std::get<0>(info.param)) + "_seed" +
+         std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TenSeedsPsi1And2, DensityModelStream,
+    ::testing::Combine(::testing::Values(1, 2),
+                       ::testing::Range<std::uint64_t>(1, 11)),
+    model_stream_name);
+
+TEST(DensityModel, ServeCircuitStreamMatchesFreshDensityMap) {
+  const Package package = serve_package();
+  expect_density_model_exact(package, DfaAssigner().assign(package), 4096,
+                             2026);
 }
 
 // Warm-started re-solves must stay within the declared tolerance of a
