@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -566,6 +570,157 @@ TEST(SolverParallel, BitIdenticalAcrossThreadCounts) {
     }
   }
   exec::set_default_threads(saved_threads);
+}
+
+/// FNV-1a over the bit patterns of a field's nodes, in node order.
+std::uint64_t field_hash(const Grid2D<double>& field) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const double v : field.data()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    hash = (hash ^ bits) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// What one pinned solve must reproduce bit for bit.
+struct PinnedSolve {
+  const char* name;
+  int iterations;
+  double max_drop;
+  double mean_drop;
+  double relative_residual;
+  std::uint64_t field_hash;
+};
+
+/// `pin` as a PinnedSolve initialiser, so a deliberate numeric change can
+/// paste the new row.
+std::string pin_row(const PinnedSolve& pin) {
+  char row[256];
+  std::snprintf(row, sizeof row, "{\"%s\", %d, %a, %a, %a, 0x%016llxULL},",
+                pin.name, pin.iterations, pin.max_drop, pin.mean_drop,
+                pin.relative_residual,
+                static_cast<unsigned long long>(pin.field_hash));
+  return row;
+}
+
+// The solver's exact outputs on each load path and pad layout it serves:
+// cold CG on the signoff pad sets from k = 3 (every coarse level skipped)
+// to 256, interior area pads, a hotspot, explicit anisotropic currents,
+// SOR, and a warm re-solve after a pad moves. Kernel rewrites must keep
+// every bit. The values were captured at commit 535db44; a deliberate
+// numeric change updates them in its own commit, with the reason.
+TEST(Solver, KernelsKeepTheParentsBits) {
+  const PinnedSolve expected[] = {
+      {"cg c1 psi1 k=3", 1, 0x1.4afd6a052bf4p-6,
+       0x1.08cabb37565d5p-8, 0x0p+0, 0x301197b14951ce9aULL},
+      {"cg c1 psi1 k=8", 6, 0x1.b7282973e136p-6,
+       0x1.81468a809efbbp-7, 0x1.0f6712d9a158ep-34, 0x54fc0bf70ba27b8aULL},
+      {"cg c1 psi1 k=33", 9, 0x1.5276a4d31828p-5,
+       0x1.8e1d706e16207p-6, 0x1.6e1de91f30824p-32, 0x4543466b50e0db1fULL},
+      {"cg c1 psi1 k=97", 10, 0x1.8f8c2d0a8442p-5,
+       0x1.0272d601e4727p-5, 0x1.cb70d3c7db4e7p-31, 0x29f25854aca79da2ULL},
+      {"cg c1 psi1 k=256", 17, 0x1.c2c92e8f58e5p-5,
+       0x1.34a5fb267f472p-5, 0x1.0a911824258bdp-30, 0x9b31db5a4a9f2d04ULL},
+      {"cg c5 psi4 k=3", 1, 0x1.6c16c16c16cp-7,
+       0x1.43a2730abee39p-10, 0x0p+0, 0x7aa29a064f01accfULL},
+      {"cg c5 psi4 k=8", 5, 0x1.5f5682a640b2p-6,
+       0x1.f9d218b79d214p-8, 0x1.aa8209e611b7ap-36, 0xd2e96fd7b528f317ULL},
+      {"cg c5 psi4 k=33", 7, 0x1.d37af63916c6p-6,
+       0x1.b2415511bec35p-7, 0x1.154d150ff387ap-33, 0xb922fb31b226d10aULL},
+      {"cg c5 psi4 k=97", 9, 0x1.f8f2ed902f8cp-6,
+       0x1.f97488713b7c5p-7, 0x1.0d22a0787df5p-32, 0x54847f5679622f0aULL},
+      {"cg c5 psi4 k=256", 15, 0x1.0972ca18b7c3p-5,
+       0x1.15fc32af89d4dp-6, 0x1.59cdbda6f08adp-31, 0xbcdf7573d9d928e6ULL},
+      {"cg area pads k=64", 12, 0x1.e031fa447518p-8,
+       0x1.9289c256ebca5p-8, 0x1.cb7f97ab771f7p-33, 0x0ce9140e03ab61feULL},
+      {"cg hotspot k=48", 13, 0x1.16d0d6e5939bp-4,
+       0x1.9446ec6eed402p-5, 0x1.231273d9a3d7bp-33, 0x598dfb0942d839e2ULL},
+      {"cg explicit currents k=41", 10, 0x1.2fca36495b788p-4,
+       0x1.d174703877811p-5, 0x1.56c4a1aba72dcp-32, 0xd5dc83ce875ee537ULL},
+      {"sor c1 psi1 k=33", 264, 0x1.5276a3874244p-5,
+       0x1.8e1d6f0be77e7p-6, 0x1.69f9e1a0ff65p-31, 0x62840396d437e960ULL},
+      {"cg warm c1 psi1 k=97", 9, 0x1.8fc05d4f71b6p-5,
+       0x1.02bb53cac4bp-5, 0x1.7d0b320272c3fp-32, 0xe8156e428467f33cULL},
+  };
+  std::vector<PinnedSolve> actual;
+  const auto record = [&](const char* name, const PowerGrid& grid,
+                          const SolverOptions& options) {
+    const SolveResult result = solve(grid, options);
+    actual.push_back({name, result.iterations, max_ir_drop(grid, result),
+                      mean_ir_drop(grid, result), result.relative_residual,
+                      field_hash(result.voltage)});
+  };
+  const char* const table1_names[2][5] = {
+      {"cg c1 psi1 k=3", "cg c1 psi1 k=8", "cg c1 psi1 k=33",
+       "cg c1 psi1 k=97", "cg c1 psi1 k=256"},
+      {"cg c5 psi4 k=3", "cg c5 psi4 k=8", "cg c5 psi4 k=33",
+       "cg c5 psi4 k=97", "cg c5 psi4 k=256"}};
+  const std::pair<int, int> table1_cases[2] = {{1, 1}, {5, 4}};
+  const int table1_meshes[5] = {3, 8, 33, 97, 256};
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t m = 0; m < 5; ++m) {
+      record(table1_names[c][m],
+             table1_grid(table1_cases[c].first, table1_cases[c].second,
+                         table1_meshes[m]),
+             SolverOptions{});
+    }
+  }
+
+  PowerGridSpec spec = small_spec();
+  spec.nodes_per_side = 64;
+  PowerGrid area(spec);
+  area.set_pads(area_pad_nodes(16, 64));
+  record("cg area pads k=64", area, SolverOptions{});
+
+  spec.nodes_per_side = 48;
+  PowerGrid hotspot(spec);
+  hotspot.add_hotspot({0.1, 0.6, 0.5, 0.9}, 4.0);
+  std::vector<IPoint> ring;
+  for (const int slot : {0, 5, 9, 14, 17, 22}) {
+    ring.push_back(ring_slot_node(slot, 24, 48));
+  }
+  hotspot.set_pads(ring);
+  record("cg hotspot k=48", hotspot, SolverOptions{});
+
+  spec.nodes_per_side = 41;
+  spec.sheet_res_y = 0.08;
+  PowerGrid explicit_currents(spec);
+  Grid2D<double> amps(41, 41);
+  for (std::size_t y = 0; y < 41; ++y) {
+    for (std::size_t x = 0; x < 41; ++x) {
+      amps(x, y) = 1e-3 * static_cast<double>(1 + (7 * x + 3 * y) % 5);
+    }
+  }
+  explicit_currents.set_explicit_currents(std::move(amps));
+  explicit_currents.set_pads({{0, 0}, {40, 12}, {17, 40}, {0, 29}, {20, 20}});
+  record("cg explicit currents k=41", explicit_currents, SolverOptions{});
+
+  SolverOptions sor;
+  sor.kind = SolverKind::Sor;
+  record("sor c1 psi1 k=33", table1_grid(1, 1, 33), sor);
+
+  PowerGrid moved = table1_grid(1, 1, 97);
+  const SolveResult cold = solve(moved, SolverOptions{});
+  std::vector<IPoint> pads = moved.pads();
+  pads.front().x = pads.front().x > 0 ? pads.front().x - 1 : 1;
+  moved.set_pads(pads);
+  SolverOptions warm;
+  warm.warm_start = &cold.voltage;
+  record("cg warm c1 psi1 k=97", moved, warm);
+
+  ASSERT_EQ(actual.size(), std::size(expected));
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const PinnedSolve& want = expected[i];
+    const PinnedSolve& got = actual[i];
+    const std::string row = "now: " + pin_row(got);
+    EXPECT_STREQ(got.name, want.name);
+    EXPECT_EQ(got.iterations, want.iterations) << row;
+    EXPECT_EQ(got.max_drop, want.max_drop) << row;
+    EXPECT_EQ(got.mean_drop, want.mean_drop) << row;
+    EXPECT_EQ(got.relative_residual, want.relative_residual) << row;
+    EXPECT_EQ(got.field_hash, want.field_hash) << row;
+  }
 }
 
 }  // namespace
