@@ -1,9 +1,8 @@
 #include "codesign/report.h"
 
-#include <fstream>
-
 #include "route/cutline.h"
 #include "route/design_rules.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace fp {
@@ -131,12 +130,7 @@ std::string write_flow_report(const Package& package,
 
 void save_flow_report(const Package& package, const FlowOptions& options,
                       const FlowResult& result, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) throw IoError("save_flow_report: cannot open '" + path + "'");
-  file << write_flow_report(package, options, result);
-  if (!file) {
-    throw IoError("save_flow_report: write to '" + path + "' failed");
-  }
+  write_file_atomic(path, write_flow_report(package, options, result));
 }
 
 obs::Json flow_options_to_json(const FlowOptions& options) {

@@ -19,7 +19,8 @@ namespace fp {
                                             const FlowOptions& options,
                                             const FlowResult& result);
 
-/// Writes the document; throws IoError on failure.
+/// Writes the document with write_file_atomic (never a torn file);
+/// throws IoError on failure.
 void save_flow_report(const Package& package, const FlowOptions& options,
                       const FlowResult& result, const std::string& path);
 

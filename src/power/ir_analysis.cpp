@@ -1,11 +1,11 @@
 #include "power/ir_analysis.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "io/svg.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/file.h"
 
 namespace fp {
 
@@ -99,12 +99,7 @@ std::string ir_heatmap_svg(const PowerGrid& grid, const SolveResult& result,
 
 void save_ir_heatmap_svg(const PowerGrid& grid, const SolveResult& result,
                          const std::string& title, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) throw IoError("save_ir_heatmap_svg: cannot open '" + path + "'");
-  file << ir_heatmap_svg(grid, result, title);
-  if (!file) {
-    throw IoError("save_ir_heatmap_svg: write to '" + path + "' failed");
-  }
+  write_file_atomic(path, ir_heatmap_svg(grid, result, title));
 }
 
 }  // namespace fp

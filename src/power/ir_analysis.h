@@ -64,7 +64,8 @@ struct PadCriticality {
                                          const SolveResult& result,
                                          const std::string& title);
 
-/// Renders and writes the heat map; throws IoError on failure.
+/// Renders and writes the heat map with write_file_atomic (never a torn
+/// file); throws IoError on failure.
 void save_ir_heatmap_svg(const PowerGrid& grid, const SolveResult& result,
                          const std::string& title, const std::string& path);
 

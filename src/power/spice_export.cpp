@@ -1,9 +1,9 @@
 #include "power/spice_export.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "util/error.h"
+#include "util/file.h"
 
 namespace fp {
 namespace {
@@ -81,10 +81,7 @@ std::string write_spice_deck(const PowerGrid& grid,
 
 void save_spice_deck(const PowerGrid& grid, const std::string& path,
                      const std::string& title) {
-  std::ofstream file(path);
-  if (!file) throw IoError("save_spice_deck: cannot open '" + path + "'");
-  file << write_spice_deck(grid, title);
-  if (!file) throw IoError("save_spice_deck: write to '" + path + "' failed");
+  write_file_atomic(path, write_spice_deck(grid, title));
 }
 
 }  // namespace fp

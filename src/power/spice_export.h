@@ -21,7 +21,8 @@ namespace fp {
                                            const std::string& title =
                                                "fpkit power mesh");
 
-/// Writes the deck to `path`; throws IoError on failure.
+/// Writes the deck to `path` with write_file_atomic (never a torn file);
+/// throws IoError on failure.
 void save_spice_deck(const PowerGrid& grid, const std::string& path,
                      const std::string& title = "fpkit power mesh");
 

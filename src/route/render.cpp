@@ -1,9 +1,9 @@
 #include "route/render.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "io/svg.h"
+#include "util/file.h"
 
 namespace fp {
 
@@ -69,14 +69,7 @@ void save_quadrant_route_svg(const Quadrant& quadrant,
                              const QuadrantRoute& route,
                              const std::string& title,
                              const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    throw IoError("save_quadrant_route_svg: cannot open '" + path + "'");
-  }
-  file << render_quadrant_route(quadrant, route, title);
-  if (!file) {
-    throw IoError("save_quadrant_route_svg: write to '" + path + "' failed");
-  }
+  write_file_atomic(path, render_quadrant_route(quadrant, route, title));
 }
 
 namespace {
@@ -165,14 +158,7 @@ void save_package_route_svg(const Package& package,
                             const PackageRoute& route,
                             const std::string& title,
                             const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    throw IoError("save_package_route_svg: cannot open '" + path + "'");
-  }
-  file << render_package_route(package, route, title);
-  if (!file) {
-    throw IoError("save_package_route_svg: write to '" + path + "' failed");
-  }
+  write_file_atomic(path, render_package_route(package, route, title));
 }
 
 std::string render_congestion_map(const Quadrant& quadrant,
@@ -232,15 +218,8 @@ void save_congestion_map_svg(const Quadrant& quadrant,
                              const DensityMap& density,
                              const std::string& title,
                              const std::string& path, int capacity) {
-  std::ofstream file(path);
-  if (!file) {
-    throw IoError("save_congestion_map_svg: cannot open '" + path + "'");
-  }
-  file << render_congestion_map(quadrant, density, title, capacity);
-  if (!file) {
-    throw IoError("save_congestion_map_svg: write to '" + path +
-                  "' failed");
-  }
+  write_file_atomic(path,
+                    render_congestion_map(quadrant, density, title, capacity));
 }
 
 }  // namespace fp

@@ -16,7 +16,8 @@ namespace fp {
                                                 const QuadrantRoute& route,
                                                 const std::string& title);
 
-/// Renders and writes to `path`; throws IoError on failure.
+/// Renders and writes to `path` with write_file_atomic (never a torn
+/// file); throws IoError on failure.
 void save_quadrant_route_svg(const Quadrant& quadrant,
                              const QuadrantRoute& route,
                              const std::string& title,
@@ -29,7 +30,8 @@ void save_quadrant_route_svg(const Quadrant& quadrant,
                                                const PackageRoute& route,
                                                const std::string& title);
 
-/// Renders and writes the package view; throws IoError on failure.
+/// Renders and writes the package view with write_file_atomic; throws
+/// IoError on failure.
 void save_package_route_svg(const Package& package,
                             const PackageRoute& route,
                             const std::string& title,
@@ -45,7 +47,8 @@ void save_package_route_svg(const Package& package,
                                                 const std::string& title,
                                                 int capacity = 0);
 
-/// Renders and writes the congestion map; throws IoError on failure.
+/// Renders and writes the congestion map with write_file_atomic; throws
+/// IoError on failure.
 void save_congestion_map_svg(const Quadrant& quadrant,
                              const DensityMap& density,
                              const std::string& title,

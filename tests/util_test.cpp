@@ -1,18 +1,23 @@
 // Unit tests for the util module: rng, strings, cli, error helpers,
-// signal flags and interrupt-linked cancellation.
+// atomic file writes, signal flags and interrupt-linked cancellation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <csignal>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/cancel.h"
 #include "util/cli.h"
 #include "util/error.h"
+#include "util/file.h"
 #include "util/rng.h"
 #include "util/signal.h"
 #include "util/strings.h"
@@ -332,6 +337,30 @@ TEST(Timer, ElapsedIsNonNegativeAndMonotonic) {
   EXPECT_GE(a, 0.0);
   EXPECT_GE(b, a);
   EXPECT_GE(t.millis(), 0.0);
+}
+
+// --------------------------------------------------------------- file ----
+
+TEST(WriteFileAtomic, WritesTheTextAndLeavesNoPartialFile) {
+  const std::string path = ::testing::TempDir() + "atomic_ok.txt";
+  write_file_atomic(path, "first");
+  write_file_atomic(path, "second\n");
+  std::ifstream in(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "second\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp-partial"));
+  std::filesystem::remove(path);
+}
+
+TEST(WriteFileAtomic, FailedRenameThrowsAndRemovesThePartialFile) {
+  // A directory at the target path: the write succeeds, the rename fails.
+  const std::string path = ::testing::TempDir() + "atomic_dir";
+  std::filesystem::create_directories(path);
+  EXPECT_THROW(write_file_atomic(path, "text"), IoError);
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp-partial"));
+  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------------- signal ----
