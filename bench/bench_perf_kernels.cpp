@@ -228,9 +228,10 @@ void BM_Solver(benchmark::State& state, SolverKind kind) {
 }
 BENCHMARK_CAPTURE(BM_Solver, sor, SolverKind::Sor)
     ->ArgName("k")->DenseRange(16, 48, 16);
-// k = 256 is the signoff benchmark's mesh.
+// k = 256 is the signoff benchmark's mesh, k = 257 its odd neighbour
+// (coarse levels end on the die edge) and k = 512 the sign-off target.
 BENCHMARK_CAPTURE(BM_Solver, cg, SolverKind::ConjugateGradient)
-    ->ArgName("k")->DenseRange(16, 48, 16)->Arg(256);
+    ->ArgName("k")->DenseRange(16, 48, 16)->Arg(256)->Arg(257)->Arg(512);
 
 /// 128 x 128 CG solve at a fixed worker-pool size: the analyze-stage
 /// kernel whose dot products and axpy sweeps fan out over the pool.

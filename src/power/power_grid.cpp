@@ -70,14 +70,16 @@ double PowerGrid::node_current(int x, int y) const {
   const int k = spec_.nodes_per_side;
   require(x >= 0 && x < k && y >= 0 && y < k,
           "PowerGrid: node outside the mesh");
-  if (has_explicit_currents_) {
-    return explicit_current_(static_cast<std::size_t>(x),
-                             static_cast<std::size_t>(y));
-  }
-  const double per_node =
-      spec_.total_current_a / (static_cast<double>(k) * static_cast<double>(k));
-  return per_node * current_multiplier_(static_cast<std::size_t>(x),
-                                        static_cast<std::size_t>(y));
+  return load_map().at(static_cast<std::size_t>(y) *
+                           static_cast<std::size_t>(k) +
+                       static_cast<std::size_t>(x));
+}
+
+PowerGrid::LoadMap PowerGrid::load_map() const {
+  const double k = spec_.nodes_per_side;
+  return {has_explicit_currents_ ? explicit_current_.data().data() : nullptr,
+          spec_.total_current_a / (k * k),
+          current_multiplier_.data().data()};
 }
 
 }  // namespace fp

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <cstddef>
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "exec/exec.h"
@@ -23,8 +25,9 @@ namespace {
 // combine the chunks in chunk order, so results are bit-identical at any
 // --threads value.
 constexpr std::size_t kSweepGrain = 2048;  // nodes per chunk
-/// Loops over fewer nodes than this run inline: on the V-cycle's coarse
-/// levels a pool region costs more in worker wake-ups than its rows take.
+/// Loops over fewer nodes than this run as plain loops that never enter
+/// exec: on the V-cycle's coarse levels a pool region costs more in worker
+/// wake-ups than its rows take.
 constexpr std::size_t kInlineNodes = std::size_t{1} << 14;
 
 /// Gauss-Seidel sweeps before and after each coarse correction, and on
@@ -41,53 +44,67 @@ bool is_diverging(double rel, double best_rel) {
   return rel > 10.0 && rel > 1e3 * best_rel;
 }
 
-/// Rows per chunk of a loop over `rows` rows that touches `nodes` mesh
-/// nodes: about kSweepGrain nodes, or every row in one inline chunk.
+/// Rows per pooled chunk of a loop over `rows` rows that touches `nodes`
+/// mesh nodes: about kSweepGrain nodes.
 std::size_t row_grain(int rows, std::size_t nodes) {
-  const auto n = static_cast<std::size_t>(rows);
-  return nodes < kInlineNodes
-             ? n
-             : std::max<std::size_t>(1, kSweepGrain * n / nodes);
+  return std::max<std::size_t>(
+      1, kSweepGrain * static_cast<std::size_t>(rows) / nodes);
 }
 
-/// Runs row_body(y) for y in [0, rows), a loop over `nodes` mesh nodes.
-/// Each row writes only its own outputs, so the result is the same at any
-/// thread count.
-void for_rows(int rows, std::size_t nodes,
-              const std::function<void(int)>& row_body) {
+/// Runs chunk_body(begin, end) over row chunks of [0, rows), a loop over
+/// `nodes` mesh nodes: on the pool, or as one plain call below
+/// kInlineNodes. Each chunk writes only its own rows' outputs, so the
+/// result is the same at any thread count.
+template <typename ChunkBody>
+void for_row_chunks(int rows, std::size_t nodes, const ChunkBody& chunk_body) {
+  if (nodes < kInlineNodes) {
+    chunk_body(0, rows);
+    return;
+  }
   exec::parallel_for(static_cast<std::size_t>(rows), row_grain(rows, nodes),
                      [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t y = begin; y < end; ++y) {
-                         row_body(static_cast<int>(y));
-                       }
+                       chunk_body(static_cast<int>(begin),
+                                  static_cast<int>(end));
                      });
 }
 
+/// Runs row_body(y) for y in [0, rows), a loop over `nodes` mesh nodes.
+template <typename RowBody>
+void for_rows(int rows, std::size_t nodes, const RowBody& row_body) {
+  for_row_chunks(rows, nodes, [&](int begin, int end) {
+    for (int y = begin; y < end; ++y) row_body(y);
+  });
+}
+
 /// for_rows for a loop that also sums: row_body(y) returns row y's share.
-double sum_rows(int rows, std::size_t nodes,
-                const std::function<double(int)>& row_body) {
-  return exec::parallel_sum(static_cast<std::size_t>(rows),
-                            row_grain(rows, nodes),
-                            [&](std::size_t begin, std::size_t end) {
-                              double sum = 0.0;
-                              for (std::size_t y = begin; y < end; ++y) {
-                                sum += row_body(static_cast<int>(y));
-                              }
-                              return sum;
-                            });
+/// Rows add up in order within a chunk and chunks in chunk order; the
+/// plain loop returns 0.0 + its one chunk, as exec::parallel_sum does.
+template <typename RowBody>
+double sum_rows(int rows, std::size_t nodes, const RowBody& row_body) {
+  const auto chunk_sum = [&](int begin, int end) {
+    double sum = 0.0;
+    for (int y = begin; y < end; ++y) sum += row_body(y);
+    return sum;
+  };
+  if (nodes < kInlineNodes) return 0.0 + chunk_sum(0, rows);
+  return exec::parallel_sum(
+      static_cast<std::size_t>(rows), row_grain(rows, nodes),
+      [&](std::size_t begin, std::size_t end) {
+        return chunk_sum(static_cast<int>(begin), static_cast<int>(end));
+      });
 }
 
 /// The one layout of the mesh system A x = b: k x k nodes, row-major
 /// (node y * k + x). Pads are Dirichlet nodes held at exactly 0 in every
-/// vector. Die edges are Neumann: the missing links simply drop out. The
-/// fine level folds Vdd into b; the V-cycle's coarse levels carry error
-/// equations on the same layout.
+/// vector. Die edges are Neumann: the missing links simply drop out. No
+/// diagonal is stored: Stencil forms A_ii from (x, y), one constant off
+/// the die edge. The fine level folds Vdd into b; the V-cycle's coarse
+/// levels carry error equations on the same layout.
 struct Mesh {
   int k = 0;
   double gx = 0.0;
   double gy = 0.0;
   std::vector<unsigned char> pad;  // 1 = Dirichlet node
-  std::vector<double> diag;        // A_ii
   std::vector<double> b;           // right-hand side (0 at pads)
 
   [[nodiscard]] std::size_t size() const { return pad.size(); }
@@ -97,75 +114,134 @@ struct Mesh {
   }
 };
 
-/// A mesh with the pad mask pad_at(x, y), its diagonal and b = 0.
-Mesh make_mesh(int k, double gx, double gy,
-               const std::function<bool(int, int)>& pad_at) {
-  const auto n = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
-  Mesh m{k, gx, gy, std::vector<unsigned char>(n), std::vector<double>(n),
-         std::vector<double>(n)};
-  for_rows(k, n, [&](int y) {
-    for (int x = 0; x < k; ++x) {
-      const std::size_t i = m.index(x, y);
-      m.pad[i] = pad_at(x, y) ? 1 : 0;
-      double d = 0.0;
-      if (x > 0) d += gx;
-      if (x + 1 < k) d += gx;
-      if (y > 0) d += gy;
-      if (y + 1 < k) d += gy;
-      m.diag[i] = d;
-    }
-  });
-  return m;
+/// The 5-point stencil of a mesh, held by value so that a kernel's stores
+/// to a vector cannot alias its conductances. Neighbours are always taken
+/// left, right, down, up: the order is part of the result, and changing
+/// it moves the last bits of every solve. kInterior marks a node off the
+/// die edge (0 < x, y < k - 1), whose four links are all on the mesh: it
+/// skips the bound tests, and its diagonal is the constant d, the sum the
+/// edge path forms there, so both paths give the same bits.
+struct Stencil {
+  explicit Stencil(const Mesh& m)
+      : k(m.k), gx(m.gx), gy(m.gy), d(((m.gx + m.gx) + m.gy) + m.gy),
+        row(static_cast<std::size_t>(m.k)) {}
+
+  /// A_ii at (x, y): its on-mesh links summed from 0.
+  template <bool kInterior>
+  [[nodiscard]] double diagonal(int x, int y) const {
+    if constexpr (kInterior) return d;
+    double sum = 0.0;
+    if (x > 0) sum += gx;
+    if (x + 1 < k) sum += gx;
+    if (y > 0) sum += gy;
+    if (y + 1 < k) sum += gy;
+    return sum;
+  }
+
+  /// (A v)_i at node i = (x, y). Pads hold 0 in `v`, so a pad neighbour
+  /// drops out exactly, like a Neumann edge.
+  template <bool kInterior>
+  [[nodiscard]] double product(const std::vector<double>& v, std::size_t i,
+                               int x, int y) const {
+    double acc = diagonal<kInterior>(x, y) * v[i];
+    if (kInterior || x > 0) acc -= gx * v[i - 1];
+    if (kInterior || x + 1 < k) acc -= gx * v[i + 1];
+    if (kInterior || y > 0) acc -= gy * v[i - row];
+    if (kInterior || y + 1 < k) acc -= gy * v[i + row];
+    return acc;
+  }
+
+  /// b_i plus the off-diagonal links to `v`, the numerator of a
+  /// Gauss-Seidel update.
+  template <bool kInterior>
+  [[nodiscard]] double gather(double b_i, const std::vector<double>& v,
+                              std::size_t i, int x, int y) const {
+    double acc = b_i;
+    if (kInterior || x > 0) acc += gx * v[i - 1];
+    if (kInterior || x + 1 < k) acc += gx * v[i + 1];
+    if (kInterior || y > 0) acc += gy * v[i - row];
+    if (kInterior || y + 1 < k) acc += gy * v[i + row];
+    return acc;
+  }
+
+  int k;
+  double gx;
+  double gy;
+  double d;
+  std::size_t row;
+};
+
+/// Calls node(x, interior) for x = first, first + step, ... < k of row y,
+/// in order, with interior a std::bool_constant: true off the die edge.
+template <typename Node>
+void for_columns(int k, int y, int first, int step, const Node& node) {
+  int x = first;
+  if (y == 0 || y == k - 1) {
+    for (; x < k; x += step) node(x, std::false_type{});
+    return;
+  }
+  if (x == 0) {
+    node(x, std::false_type{});
+    x += step;
+  }
+  for (; x < k - 1; x += step) node(x, std::true_type{});
+  if (x == k - 1) node(x, std::false_type{});
 }
 
-/// The Eq.-(1) system of `grid`: b = -I plus g * Vdd for every link to a
-/// pad. Neighbours are always visited left, right, down, up.
-Mesh build_system(const PowerGrid& grid) {
+/// The Eq.-(1) system of `grid` and the relative residual's denominator.
+struct System {
+  Mesh mesh;
+  double b_scale;  // |b|, or 1 when b = 0
+};
+
+/// The Eq.-(1) system of `grid` in one pass: the pad mask, b = -I plus
+/// g * Vdd for every link to a pad (neighbours left, right, down, up) and
+/// |b|^2.
+System build_system(const PowerGrid& grid) {
   const int k = grid.k();
-  Mesh m = make_mesh(k, grid.gx(), grid.gy(),
-                     [&](int x, int y) { return grid.is_pad(x, y); });
-  const double vdd = grid.spec().vdd;
-  const auto row = static_cast<std::size_t>(k);
-  for_rows(k, m.size(), [&](int y) {
+  const auto n = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
+  System sys{Mesh{k, grid.gx(), grid.gy(), std::vector<unsigned char>(n),
+                  std::vector<double>(n)},
+             1.0};
+  Mesh& m = sys.mesh;
+  const PowerGrid::LoadMap loads = grid.load_map();
+  const double gx_vdd = m.gx * grid.spec().vdd;
+  const double gy_vdd = m.gy * grid.spec().vdd;
+  const double bb = sum_rows(k, n, [&](int y) {
+    double bb_row = 0.0;
     for (int x = 0; x < k; ++x) {
       const std::size_t i = m.index(x, y);
-      if (m.pad[i]) continue;
-      double b = -grid.node_current(x, y);
-      if (x > 0 && m.pad[i - 1]) b += m.gx * vdd;
-      if (x + 1 < k && m.pad[i + 1]) b += m.gx * vdd;
-      if (y > 0 && m.pad[i - row]) b += m.gy * vdd;
-      if (y + 1 < k && m.pad[i + row]) b += m.gy * vdd;
+      if (grid.is_pad(x, y)) {
+        m.pad[i] = 1;
+        continue;
+      }
+      double b = -loads.at(i);
+      if (x > 0 && grid.is_pad(x - 1, y)) b += gx_vdd;
+      if (x + 1 < k && grid.is_pad(x + 1, y)) b += gx_vdd;
+      if (y > 0 && grid.is_pad(x, y - 1)) b += gy_vdd;
+      if (y + 1 < k && grid.is_pad(x, y + 1)) b += gy_vdd;
       m.b[i] = b;
+      bb_row += b * b;
     }
+    return bb_row;
   });
-  return m;
-}
-
-/// (A v)_i at the free node i = (x, y). Pads hold 0 in `v`, so a pad
-/// neighbour drops out exactly, like a Neumann edge. The neighbour order
-/// (left, right, down, up) is part of the result: changing it moves the
-/// last bits of every solve.
-double row_product(const Mesh& m, const std::vector<double>& v,
-                   std::size_t i, int x, int y) {
-  const auto row = static_cast<std::size_t>(m.k);
-  double acc = m.diag[i] * v[i];
-  if (x > 0) acc -= m.gx * v[i - 1];
-  if (x + 1 < m.k) acc -= m.gx * v[i + 1];
-  if (y > 0) acc -= m.gy * v[i - row];
-  if (y + 1 < m.k) acc -= m.gy * v[i + row];
-  return acc;
+  const double norm = std::sqrt(bb);
+  if (norm > 0.0) sys.b_scale = norm;
+  return sys;
 }
 
 /// out = A v, 0 at pads; returns v . A v.
 double apply(const Mesh& m, const std::vector<double>& v,
              std::vector<double>& out) {
+  const Stencil stencil(m);
   return sum_rows(m.k, m.size(), [&](int y) {
     double vav = 0.0;
-    for (int x = 0; x < m.k; ++x) {
+    for_columns(m.k, y, 0, 1, [&](int x, auto interior) {
       const std::size_t i = m.index(x, y);
-      out[i] = m.pad[i] ? 0.0 : row_product(m, v, i, x, y);
+      const double product = stencil.product<interior>(v, i, x, y);
+      out[i] = m.pad[i] ? 0.0 : product;
       vav += v[i] * out[i];
-    }
+    });
     return vav;
   });
 }
@@ -173,13 +249,15 @@ double apply(const Mesh& m, const std::vector<double>& v,
 /// r = b - A v, 0 at pads; returns r . r.
 double residual(const Mesh& m, const std::vector<double>& b,
                 const std::vector<double>& v, std::vector<double>& r) {
+  const Stencil stencil(m);
   return sum_rows(m.k, m.size(), [&](int y) {
     double rr = 0.0;
-    for (int x = 0; x < m.k; ++x) {
+    for_columns(m.k, y, 0, 1, [&](int x, auto interior) {
       const std::size_t i = m.index(x, y);
-      r[i] = m.pad[i] ? 0.0 : b[i] - row_product(m, v, i, x, y);
+      const double r_i = b[i] - stencil.product<interior>(v, i, x, y);
+      r[i] = m.pad[i] ? 0.0 : r_i;
       rr += r[i] * r[i];
-    }
+    });
     return rr;
   });
 }
@@ -194,13 +272,6 @@ double row_dot(const Mesh& m, const std::vector<double>& a,
   return sum;
 }
 
-/// The relative residual's denominator |b| (1 when b = 0).
-double rhs_scale(const Mesh& m) {
-  const double norm = std::sqrt(sum_rows(
-      m.k, m.size(), [&](int y) { return row_dot(m, m.b, m.b, y); }));
-  return norm > 0.0 ? norm : 1.0;
-}
-
 /// The two colours of a red-black sweep: the parity of x + y.
 constexpr int kRed = 0;
 constexpr int kBlack = 1;
@@ -208,33 +279,50 @@ constexpr int kBlack = 1;
 /// Row y of one colour of a red-black SOR sweep of A v = b; omega = 1 is
 /// Gauss-Seidel. Nodes of one colour only neighbour the other colour, so
 /// a half-sweep is order-free: the same updates at any thread count.
+/// kGaussSeidel (omega = 1, every V-cycle sweep) writes acc / diag
+/// itself: (1 - omega) v + omega (acc / diag) differs from it only for a
+/// non-finite v or in the sign of an exact-zero quotient.
+template <bool kGaussSeidel>
 void relax_row(const Mesh& m, const std::vector<double>& b,
                std::vector<double>& v, int colour, double omega, int y) {
-  const auto row = static_cast<std::size_t>(m.k);
-  for (int x = (y + colour) % 2; x < m.k; x += 2) {
+  const Stencil stencil(m);
+  for_columns(m.k, y, (y + colour) % 2, 2, [&](int x, auto interior) {
     const std::size_t i = m.index(x, y);
-    if (m.pad[i]) continue;
-    double acc = b[i];
-    if (x > 0) acc += m.gx * v[i - 1];
-    if (x + 1 < m.k) acc += m.gx * v[i + 1];
-    if (y > 0) acc += m.gy * v[i - row];
-    if (y + 1 < m.k) acc += m.gy * v[i + row];
-    v[i] = (1.0 - omega) * v[i] + omega * (acc / m.diag[i]);
-  }
+    const double quotient = stencil.gather<interior>(b[i], v, i, x, y) /
+                            stencil.diagonal<interior>(x, y);
+    double updated = quotient;
+    if constexpr (!kGaussSeidel) {
+      updated = (1.0 - omega) * v[i] + omega * quotient;
+    }
+    v[i] = m.pad[i] ? v[i] : updated;
+  });
 }
 
 /// One colour of a red-black SOR sweep over the whole mesh.
 void relax(const Mesh& m, const std::vector<double>& b, std::vector<double>& v,
            int colour, double omega) {
-  for_rows(m.k, m.size(),
-           [&](int y) { relax_row(m, b, v, colour, omega, y); });
+  if (omega == 1.0) {
+    for_rows(m.k, m.size(),
+             [&](int y) { relax_row<true>(m, b, v, colour, 1.0, y); });
+  } else {
+    for_rows(m.k, m.size(),
+             [&](int y) { relax_row<false>(m, b, v, colour, omega, y); });
+  }
 }
 
-/// The red Gauss-Seidel half-sweep of A v = b from v = 0 at node
-/// i = (x, y): b_i / diag at a free red node, 0 elsewhere. Pointwise, so
-/// the pass that writes b writes this v too.
-double red_from_zero(const Mesh& m, double b_i, std::size_t i, int x, int y) {
-  return (x + y) % 2 == kRed && !m.pad[i] ? b_i / m.diag[i] : 0.0;
+/// Row y of the red Gauss-Seidel half-sweep of A z = r from z = 0:
+/// r / diagonal at the free red nodes, 0 elsewhere. Pointwise, so the pass
+/// that writes r writes this z too.
+void red_from_zero(const Mesh& m, const std::vector<double>& r,
+                   std::vector<double>& z, int y) {
+  const Stencil stencil(m);
+  std::fill_n(z.begin() + static_cast<std::ptrdiff_t>(m.index(0, y)), m.k,
+              0.0);
+  for_columns(m.k, y, y % 2, 2, [&](int x, auto interior) {
+    const std::size_t i = m.index(x, y);
+    const double z_i = r[i] / stencil.diagonal<interior>(x, y);
+    z[i] = m.pad[i] ? 0.0 : z_i;
+  });
 }
 
 // The CG preconditioner: one geometric-multigrid V-cycle on A e = r from
@@ -251,6 +339,8 @@ double red_from_zero(const Mesh& m, double b_i, std::size_t i, int x, int y) {
 /// 1/4). Black nodes are skipped: the post-smoothing's first half-sweep
 /// is black at omega = 1, which replaces their values. A gather over fine
 /// rows; for an even row both coarse rows are the same, the mean exact.
+/// The red nodes of an even row sit on even columns, of an odd row on odd
+/// ones.
 void prolong(const Mesh& coarse, const std::vector<double>& e,
              const Mesh& fine, std::vector<double>& v) {
   for_rows(fine.k, fine.size(), [&](int y) {
@@ -259,12 +349,35 @@ void prolong(const Mesh& coarse, const std::vector<double>& e,
     const auto column = [&](int cx) { return 0.5 * (lo[cx] + hi[cx]); };
     double* out = &v[fine.index(0, y)];
     const unsigned char* pad = &fine.pad[fine.index(0, y)];
-    for (int x = y % 2; x < fine.k; x += 2) {
-      if (pad[x]) continue;
-      const int cx = x / 2;
-      out[x] += x % 2 == 0 ? column(cx)
-                           : 0.5 * (column(cx) + column(cx + 1));
+    const auto add = [&](int x, double correction) {
+      const double sum = out[x] + correction;
+      out[x] = pad[x] ? out[x] : sum;
+    };
+    if (y % 2 == 0) {
+      for (int x = 0; x < fine.k; x += 2) add(x, column(x / 2));
+      return;
     }
+    double left = column(0);
+    for (int x = 1; x < fine.k; x += 2) {
+      const double right = column(x / 2 + 1);
+      add(x, 0.5 * (left + right));
+      left = right;
+    }
+  });
+}
+
+/// out[c] = r(2c + odd, y) for the residual r = b - A v of row y, over
+/// c in [0, out.size()): 0 at pads and off the mesh.
+void residual_run(const Mesh& m, const std::vector<double>& b,
+                  const std::vector<double>& v, int y, int odd,
+                  std::vector<double>& out) {
+  std::fill(out.begin(), out.end(), 0.0);
+  if (y < 0 || y >= m.k) return;
+  const Stencil stencil(m);
+  for_columns(m.k, y, odd, 2, [&](int x, auto interior) {
+    const std::size_t i = m.index(x, y);
+    const double r_i = b[i] - stencil.product<interior>(v, i, x, y);
+    out[static_cast<std::size_t>(x / 2)] = m.pad[i] ? 0.0 : r_i;
   });
 }
 
@@ -273,40 +386,57 @@ void prolong(const Mesh& coarse, const std::vector<double>& e,
 /// black. That left r = 0 at the black nodes, so P^T r gathers fine node
 /// (2X, 2Y) with weight 1 and its four diagonal neighbours (2X +- 1,
 /// 2Y +- 1) with weight 1/4, nodes off the mesh carrying nothing. A
-/// gather over coarse rows that evaluates r on the fly; pads keep b = 0.
+/// gather over coarse rows that evaluates r on the fly, each fine value
+/// once: the odd fine row 2Y + 1 serves coarse rows Y and Y + 1, so a
+/// chunk carries it up and evaluates only its first row's lower one.
+/// Pads keep b = 0.
 void restrict_residual(const Mesh& fine, const std::vector<double>& b,
                        const std::vector<double>& x, Mesh& coarse,
                        std::vector<double>& coarse_x) {
-  const auto r = [&](int fx, int fy) {
-    if (fx < 0 || fx >= fine.k || fy < 0 || fy >= fine.k) return 0.0;
-    const std::size_t i = fine.index(fx, fy);
-    return fine.pad[i] ? 0.0 : b[i] - row_product(fine, x, i, fx, fy);
-  };
-  for_rows(coarse.k, fine.size(), [&](int cy) {
-    const int fy = 2 * cy;
-    double left = 0.0;  // the diagonal neighbours in column 2X - 1
-    for (int cx = 0; cx < coarse.k; ++cx) {
-      const std::size_t i = coarse.index(cx, cy);
-      const int fx = 2 * cx;
-      const double right = r(fx + 1, fy - 1) + r(fx + 1, fy + 1);
-      coarse.b[i] = coarse.pad[i] ? 0.0 : r(fx, fy) + 0.25 * (left + right);
-      coarse_x[i] = red_from_zero(coarse, coarse.b[i], i, cx, cy);
-      left = right;
+  const auto width = static_cast<std::size_t>(coarse.k);
+  for_row_chunks(coarse.k, fine.size(), [&](int begin, int end) {
+    // Per coarse column X: r(2X, 2Y), r(2X + 1, 2Y - 1), r(2X + 1, 2Y + 1).
+    std::vector<double> centre(width);
+    std::vector<double> below(width);
+    std::vector<double> above(width);
+    residual_run(fine, b, x, 2 * begin - 1, 1, below);
+    for (int cy = begin; cy < end; ++cy) {
+      const int fy = 2 * cy;
+      residual_run(fine, b, x, fy, 0, centre);
+      residual_run(fine, b, x, fy + 1, 1, above);
+      double left = 0.0;  // the diagonal neighbours in column 2X - 1
+      for (std::size_t cx = 0; cx < width; ++cx) {
+        const std::size_t i = coarse.index(static_cast<int>(cx), cy);
+        const double right = below[cx] + above[cx];
+        coarse.b[i] =
+            coarse.pad[i] ? 0.0 : centre[cx] + 0.25 * (left + right);
+        left = right;
+      }
+      red_from_zero(coarse, coarse.b, coarse_x, cy);
+      std::swap(below, above);
     }
   });
 }
 
-/// The next coarser level. A coarse node is a pad when any fine node of its
-/// 2x2 block {2X, 2X + 1}^2 is, so every level keeps a pad and stays
-/// non-singular.
+/// The next coarser level, with b = 0. A coarse node is a pad when any
+/// fine node of its 2x2 block {2X, 2X + 1}^2 is, so every level keeps a
+/// pad and stays non-singular.
 Mesh coarsen(const Mesh& fine) {
+  const int k = fine.k / 2 + 1;
+  const auto n = static_cast<std::size_t>(k) * static_cast<std::size_t>(k);
+  Mesh m{k, fine.gx, fine.gy, std::vector<unsigned char>(n),
+         std::vector<double>(n)};
   const auto pad = [&fine](int x, int y) {
     return x < fine.k && y < fine.k && fine.pad[fine.index(x, y)] != 0;
   };
-  return make_mesh(fine.k / 2 + 1, fine.gx, fine.gy, [&pad](int x, int y) {
-    return pad(2 * x, 2 * y) || pad(2 * x + 1, 2 * y) ||
-           pad(2 * x, 2 * y + 1) || pad(2 * x + 1, 2 * y + 1);
+  for_rows(k, n, [&](int y) {
+    for (int x = 0; x < k; ++x) {
+      const bool any = pad(2 * x, 2 * y) || pad(2 * x + 1, 2 * y) ||
+                       pad(2 * x, 2 * y + 1) || pad(2 * x + 1, 2 * y + 1);
+      m.pad[m.index(x, y)] = any ? 1 : 0;
+    }
   });
+  return m;
 }
 
 class VCycle {
@@ -350,7 +480,7 @@ class VCycle {
     }
     for (int half = 1; half < 2 * sweeps; ++half) relax(m, b, x, half % 2, 1.0);
     return sum_rows(m.k, m.size(), [&](int y) {
-      relax_row(m, b, x, kRed, 1.0, y);
+      relax_row<true>(m, b, x, kRed, 1.0, y);
       return row_dot(m, b, x, y);
     });
   }
@@ -359,18 +489,21 @@ class VCycle {
   std::vector<Level> levels_;  // coarse levels, finest first
 };
 
-/// The starting iterate: Vdd at the free nodes (the classic cold start)
-/// or the SolverOptions::warm_start field there, 0 at the pads.
-std::vector<double> initial_iterate(const Mesh& m, double vdd,
-                                    const SolverOptions& options) {
+/// The starting iterate, in the field the solve returns: Vdd at the free
+/// nodes (the classic cold start) or the SolverOptions::warm_start field
+/// there, 0 at the pads.
+Grid2D<double> initial_iterate(const Mesh& m, double vdd,
+                               const SolverOptions& options) {
   const Grid2D<double>* warm = options.warm_start;
-  std::vector<double> v(m.size());
+  const auto k = static_cast<std::size_t>(m.k);
+  Grid2D<double> field(k, k);
+  std::vector<double>& v = field.data();
   for_rows(m.k, m.size(), [&](int y) {
     for (std::size_t i = m.index(0, y); i < m.index(0, y + 1); ++i) {
       v[i] = m.pad[i] ? 0.0 : warm != nullptr ? warm->data()[i] : vdd;
     }
   });
-  return v;
+  return field;
 }
 
 /// The residual check every backend shares. It owns the stop reason: a
@@ -428,12 +561,13 @@ class StopCheck {
   std::optional<SolveStop> stop_;
 };
 
-/// The result of iterate `v`: the true relative residual |b - A v| / |b|
-/// (computed in `work`), its verdict, and the field with Vdd written
-/// back at the pads.
+/// The result of iterate `field`: the true relative residual
+/// |b - A v| / |b| (computed in `work`), its verdict, and the field with
+/// Vdd written back at the pads.
 SolveResult finish(const Mesh& m, double vdd, double b_scale,
-                   std::vector<double> v, std::vector<double>& work,
+                   Grid2D<double> field, std::vector<double>& work,
                    int iterations, const StopCheck& check) {
+  std::vector<double>& v = field.data();
   SolveResult result;
   result.relative_residual = std::sqrt(residual(m, m.b, v, work)) / b_scale;
   result.stop = check.verdict(result.relative_residual);
@@ -444,19 +578,19 @@ SolveResult finish(const Mesh& m, double vdd, double b_scale,
       if (m.pad[i]) v[i] = vdd;
     }
   });
-  const auto k = static_cast<std::size_t>(m.k);
-  result.voltage = Grid2D<double>(k, k);
-  result.voltage.data() = std::move(v);
+  result.voltage = std::move(field);
   return result;
 }
 
-SolveResult solve_sor(const Mesh& m, double vdd,
+SolveResult solve_sor(const System& sys, double vdd,
                       const SolverOptions& options) {
   const double omega = options.sor_omega;
   require(omega > 0.0 && omega < 2.0,
           "solve: SOR omega must lie in (0, 2) for convergence");
-  const double b_scale = rhs_scale(m);
-  std::vector<double> v = initial_iterate(m, vdd, options);
+  const Mesh& m = sys.mesh;
+  const double b_scale = sys.b_scale;
+  Grid2D<double> field = initial_iterate(m, vdd, options);
+  std::vector<double>& v = field.data();
   std::vector<double> r(m.size());
   StopCheck check(options);
   int iter = 0;
@@ -473,13 +607,16 @@ SolveResult solve_sor(const Mesh& m, double vdd,
       }
     }
   }
-  return finish(m, vdd, b_scale, std::move(v), r, iter, check);
+  return finish(m, vdd, b_scale, std::move(field), r, iter, check);
 }
 
-SolveResult solve_cg(const Mesh& m, double vdd, const SolverOptions& options) {
+SolveResult solve_cg(const System& sys, double vdd,
+                     const SolverOptions& options) {
+  const Mesh& m = sys.mesh;
   const std::size_t n = m.size();
-  const double b_scale = rhs_scale(m);
-  std::vector<double> x = initial_iterate(m, vdd, options);
+  const double b_scale = sys.b_scale;
+  Grid2D<double> field = initial_iterate(m, vdd, options);
+  std::vector<double>& x = field.data();
   std::vector<double> r(n);
   std::vector<double> z(n);
   std::vector<double> ap(n);
@@ -506,13 +643,12 @@ SolveResult solve_cg(const Mesh& m, double vdd, const SolverOptions& options) {
     const double alpha = rz / p_ap;
     rr = sum_rows(m.k, n, [&](int y) {
       double row = 0.0;
-      for (int col = 0; col < m.k; ++col) {
-        const std::size_t i = m.index(col, y);
+      for (std::size_t i = m.index(0, y); i < m.index(0, y + 1); ++i) {
         x[i] += alpha * p[i];
         r[i] -= alpha * ap[i];
         row += r[i] * r[i];
-        z[i] = red_from_zero(m, r[i], i, col, y);
       }
+      red_from_zero(m, r, z, y);
       return row;
     });
     const double rz_next = preconditioner.apply(r, z);
@@ -524,7 +660,7 @@ SolveResult solve_cg(const Mesh& m, double vdd, const SolverOptions& options) {
       }
     });
   }
-  return finish(m, vdd, b_scale, std::move(x), ap, iter, check);
+  return finish(m, vdd, b_scale, std::move(field), ap, iter, check);
 }
 
 }  // namespace
@@ -576,7 +712,7 @@ SolveResult solve(const PowerGrid& grid, const SolverOptions& options) {
     result.converged = true;
     result.stop = SolveStop::Trivial;
   } else {
-    const Mesh sys = build_system(grid);
+    const System sys = build_system(grid);
     // Fallback chain: the requested backend, then SOR. On the healthy
     // path the chain runs exactly one backend and the result is
     // bit-identical to a chain-free solve.
