@@ -1,10 +1,10 @@
 // Google-benchmark microbenchmarks of the core kernels, backing the
 // paper's "runtimes for all cases are within seconds" claim: the three
 // assigners, the congestion estimator, the swap engine, the session's
-// evaluate, the Eq.-(1) solvers and the full co-design flow. The *Threads
-// benchmarks sweep the exec worker-pool size; `--json [path]`
-// additionally writes the fpkit.bench.parallel.v1 scaling document
-// (BENCH_parallel.json, see bench_common.h).
+// evaluate, the serve protocol, the Eq.-(1) solvers and the full
+// co-design flow. The *Threads benchmarks sweep the exec worker-pool size;
+// `--json [path]` additionally writes the fpkit.bench.parallel.v1 scaling
+// document (BENCH_parallel.json, see bench_common.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,8 +17,10 @@
 #include "bench_common.h"
 #include "exchange/incremental_cost.h"
 #include "exec/exec.h"
+#include "obs/json.h"
 #include "route/density.h"
 #include "route/router.h"
+#include "session/protocol.h"
 #include "session/session.h"
 #include "util/rng.h"
 
@@ -206,6 +208,30 @@ BENCHMARK_CAPTURE(BM_SessionEvaluate, check,
 BENCHMARK_CAPTURE(BM_SessionEvaluate, ir,
                   SessionEvaluateOptions{.ir = true, .check = false})
     ->Unit(benchmark::kMicrosecond);
+
+/// The serve protocol's share of one swap request, with no session: the
+/// request line through parse_request and param_int, the result object
+/// (cost and journal depth), ok_response and dump(). The Time column is
+/// per request.
+void BM_ServeRequest(benchmark::State& state) {
+  const std::string line =
+      "{\"id\":4242,\"method\":\"swap\",\"params\":{\"finger\":117,"
+      "\"quadrant\":2}}";
+  long long swaps = 0;
+  for (auto _ : state) {
+    const ServeRequest request = parse_request(line);
+    const long long quadrant = param_int(request.params, "quadrant", -1);
+    const long long finger = param_int(request.params, "finger", -1);
+    obs::Json result = obs::Json::object();
+    result.set("cost", obs::Json::number(
+                           25.017391304347826 +
+                           static_cast<double>(quadrant + finger) * 1e-3));
+    result.set("swaps", obs::Json::number(++swaps));
+    std::string response = ok_response(request.id, std::move(result)).dump();
+    benchmark::DoNotOptimize(response);
+  }
+}
+BENCHMARK(BM_ServeRequest)->Unit(benchmark::kMicrosecond);
 
 /// One solve per backend and mesh size, labelled with the backend's
 /// to_string name.

@@ -56,6 +56,12 @@ class IncrementalCost {
     return current_;
   }
 
+  /// The ring slots of the supply pads, ascending: the same list as
+  /// PadRing::supply_slots(assignment()), kept per swap.
+  [[nodiscard]] const std::vector<int>& supply_slots() const {
+    return supply_pos_;
+  }
+
   /// Where `net` sits now: x = quadrant, y = finger index.
   [[nodiscard]] IPoint position(NetId net) const {
     return position_[static_cast<std::size_t>(net)];

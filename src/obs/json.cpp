@@ -1,9 +1,10 @@
 #include "obs/json.h"
 
-#include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "util/error.h"
 
@@ -197,25 +198,45 @@ class Parser {
     }
   }
 
-  Json parse_number() {
+  /// Skips a run of digits; returns how many there were.
+  std::size_t skip_digits() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
-    if (pos_ == start) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    std::size_t used = 0;
-    double parsed = 0.0;
-    try {
-      parsed = std::stod(token, &used);
-    } catch (const std::exception&) {
-      fail("malformed number '" + token + "'");
+    return pos_ - start;
+  }
+
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, converted with
+  /// std::from_chars. A value beyond +-DBL_MAX, or a nonzero one that
+  /// rounds to 0, is an error.
+  Json parse_number() {
+    const std::size_t start = pos_;
+    if (at('-')) ++pos_;
+    if (at('0')) {
+      ++pos_;
+    } else if (skip_digits() == 0) {
+      if (pos_ == start) fail("expected a value");
+      fail("malformed number");
     }
-    if (used != token.size()) fail("malformed number '" + token + "'");
+    if (at('.')) {
+      ++pos_;
+      if (skip_digits() == 0) fail("malformed number");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (skip_digits() == 0) fail("malformed number");
+    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double parsed = 0.0;
+    const auto [end, error] = std::from_chars(first, last, parsed);
+    if (error != std::errc() || end != last) {
+      fail("number out of range '" + std::string(first, last) + "'");
+    }
     return Json::number(parsed);
   }
 
@@ -314,15 +335,20 @@ Json& Json::push(Json value) {
   return *this;
 }
 
-std::string json_number_text(double value) {
-  if (!(value == value) || value > 1e308 || value < -1e308) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+void json_append_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += '0';
+    return;
+  }
+  char buf[32];  // "%.17g" needs at most 24: -d.dddddddddddddddde-ddd
+  const auto written = std::to_chars(buf, buf + sizeof buf, value,
+                                     std::chars_format::general, 17);
+  out.append(buf, written.ptr);
 }
 
-std::string json_quote(std::string_view text) {
-  std::string out = "\"";
+void json_append_quoted(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
   for (const char c : text) {
     switch (c) {
       case '"':
@@ -339,51 +365,72 @@ std::string json_quote(std::string_view text) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          out += "\\u00";
+          out += kHex[c >> 4];
+          out += kHex[c & 0xF];
         } else {
           out += c;
         }
     }
   }
-  out += "\"";
+  out += '"';
+}
+
+std::string json_number_text(double value) {
+  std::string out;
+  json_append_number(out, value);
+  return out;
+}
+
+std::string json_quote(std::string_view text) {
+  std::string out;
+  json_append_quoted(out, text);
   return out;
 }
 
 std::string Json::dump() const {
+  std::string out;
+  dump_into(out);
+  return out;
+}
+
+void Json::dump_into(std::string& out) const {
   switch (kind_) {
     case Kind::Null:
-      return "null";
+      out += "null";
+      return;
     case Kind::Bool:
-      return bool_ ? "true" : "false";
+      out += bool_ ? "true" : "false";
+      return;
     case Kind::Number:
-      return json_number_text(number_);
+      json_append_number(out, number_);
+      return;
     case Kind::String:
-      return json_quote(string_);
+      json_append_quoted(out, string_);
+      return;
     case Kind::Array: {
-      std::string out = "[";
+      out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i) out += ",";
-        out += array_[i].dump();
+        if (i) out += ',';
+        array_[i].dump_into(out);
       }
-      out += "]";
-      return out;
+      out += ']';
+      return;
     }
     case Kind::Object: {
-      std::string out = "{";
+      out += '{';
       bool first = true;
       for (const auto& [key, value] : object_) {
-        if (!first) out += ",";
+        if (!first) out += ',';
         first = false;
-        out += json_quote(key) + ":" + value.dump();
+        json_append_quoted(out, key);
+        out += ':';
+        value.dump_into(out);
       }
-      out += "}";
-      return out;
+      out += '}';
+      return;
     }
   }
-  return "null";
 }
 
 Json json_parse(std::string_view text) {

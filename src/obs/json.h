@@ -5,10 +5,12 @@
 // numbers, booleans and null; no trailing commas, no comments, no
 // NaN/Infinity literals -- so every document fpkit writes can be read
 // back by any off-the-shelf JSON tool. dump() is canonical: object keys
-// are emitted in sorted order and numbers with "%.17g" (which round-trips
-// every double), so parse(dump(v)) followed by another dump() reproduces
-// the input byte for byte. The artifact round-trip tests and `fpkit
-// compare` both lean on that property.
+// are emitted in sorted order and numbers in the bytes of "%.17g" (which
+// round-trips every finite double), so parse(dump(v)) followed by another
+// dump() reproduces the input byte for byte. The artifact round-trip tests
+// and `fpkit compare` both lean on that property. The metrics and trace
+// writers append through the same two helpers, json_append_number and
+// json_append_quoted.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +63,8 @@ class Json {
   [[nodiscard]] std::string dump() const;
 
  private:
+  void dump_into(std::string& out) const;
+
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   double number_ = 0.0;
@@ -83,11 +87,17 @@ inline constexpr int kJsonMaxDepth = 256;
 /// InvalidArgument (with the path in the message) on malformed JSON.
 [[nodiscard]] Json json_load(const std::string& path);
 
-/// "%.17g" with NaN/Infinity clamped to 0 (strict JSON has no literal
-/// for them); shared with the metrics/trace writers' conventions.
-[[nodiscard]] std::string json_number_text(double value);
+/// Appends `value` in the bytes of "%.17g" (written by std::to_chars),
+/// with NaN and +-Infinity clamped to 0: strict JSON has no literal for
+/// them. Every fpkit JSON writer formats its numbers here.
+void json_append_number(std::string& out, double value);
 
-/// Quotes and escapes `text` as a JSON string literal.
+/// Appends `text` as a JSON string literal: quoted, with '"', '\\', '\n'
+/// and '\t' escaped by name and other control characters as \u00XX.
+void json_append_quoted(std::string& out, std::string_view text);
+
+/// json_append_number and json_append_quoted as strings.
+[[nodiscard]] std::string json_number_text(double value);
 [[nodiscard]] std::string json_quote(std::string_view text);
 
 }  // namespace fp::obs

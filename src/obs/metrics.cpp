@@ -1,8 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "obs/json.h"
 #include "util/error.h"
 #include "util/file.h"
 
@@ -11,45 +11,6 @@ namespace fp::obs {
 namespace detail {
 std::atomic<bool> g_metrics{false};
 }  // namespace detail
-
-namespace {
-
-std::string json_string(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!(value == value) || value > 1e308 || value < -1e308) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
 
 double HistogramSnapshot::quantile(double q) const {
   if (count == 0 || counts.empty() || bounds.empty()) return 0.0;
@@ -194,55 +155,58 @@ std::string MetricsRegistry::to_json() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::string out = "{\"schema\":\"fpkit.metrics.v1\",\"counters\":{";
   bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) out += ",";
+  const auto key = [&](const std::string& name) {
+    if (!first) out += ',';
     first = false;
-    out += json_string(name) + ":" + std::to_string(value);
+    json_append_quoted(out, name);
+    out += ':';
+  };
+  for (const auto& [name, value] : counters_) {
+    key(name);
+    out += std::to_string(value);
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += json_string(name) + ":" + json_number(value);
+    key(name);
+    json_append_number(out, value);
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    if (!first) out += ",";
-    first = false;
-    out += json_string(name) + ":{\"bounds\":[";
+    key(name);
+    out += "{\"bounds\":[";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i) out += ",";
-      out += json_number(h.bounds[i]);
+      if (i) out += ',';
+      json_append_number(out, h.bounds[i]);
     }
     out += "],\"counts\":[";
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i) out += ",";
+      if (i) out += ',';
       out += std::to_string(h.counts[i]);
     }
-    out += "],\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + json_number(h.sum) + "}";
+    out += "],\"count\":" + std::to_string(h.count) + ",\"sum\":";
+    json_append_number(out, h.sum);
+    out += '}';
   }
   out += "},\"series\":{";
   first = true;
   for (const auto& [name, s] : series_) {
-    if (!first) out += ",";
-    first = false;
-    out += json_string(name) + ":{\"columns\":[";
+    key(name);
+    out += "{\"columns\":[";
     for (std::size_t i = 0; i < s.columns.size(); ++i) {
-      if (i) out += ",";
-      out += json_string(s.columns[i]);
+      if (i) out += ',';
+      json_append_quoted(out, s.columns[i]);
     }
     out += "],\"rows\":[";
     for (std::size_t r = 0; r < s.rows.size(); ++r) {
-      if (r) out += ",";
-      out += "[";
+      if (r) out += ',';
+      out += '[';
       for (std::size_t c = 0; c < s.rows[r].size(); ++c) {
-        if (c) out += ",";
-        out += json_number(s.rows[r][c]);
+        if (c) out += ',';
+        json_append_number(out, s.rows[r][c]);
       }
-      out += "]";
+      out += ']';
     }
     out += "]}";
   }

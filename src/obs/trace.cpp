@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 
+#include "obs/json.h"
 #include "util/error.h"
 #include "util/file.h"
 
@@ -55,43 +56,6 @@ int thread_id() {
 int& thread_depth() {
   thread_local int depth = 0;
   return depth;
-}
-
-void json_escape_into(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_number(double value) {
-  // Strict JSON has no Infinity/NaN literals; clamp to 0 rather than emit
-  // a file Perfetto refuses to load.
-  if (!(value == value) || value > 1e308 || value < -1e308) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 }  // namespace
@@ -231,9 +195,9 @@ std::string trace_to_json() {
   const std::string pid = std::to_string(process.pid);
   std::string out = "{\"displayTimeUnit\":\"ms\",";
   if (!process.trace_id.empty()) {
-    out += "\"otherData\":{\"trace_id\":\"";
-    json_escape_into(out, process.trace_id);
-    out += "\"},";
+    out += "\"otherData\":{\"trace_id\":";
+    json_append_quoted(out, process.trace_id);
+    out += "},";
   }
   out += "\"traceEvents\":[";
   bool first = true;
@@ -247,9 +211,9 @@ std::string trace_to_json() {
   if (stamped) {
     comma();
     out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + pid +
-           ",\"tid\":0,\"args\":{\"name\":\"";
-    json_escape_into(out, process.name);
-    out += "\"}}";
+           ",\"tid\":0,\"args\":{\"name\":";
+    json_append_quoted(out, process.name);
+    out += "}}";
     comma();
     out += "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":" + pid +
            ",\"tid\":0,\"args\":{\"sort_index\":" +
@@ -258,33 +222,33 @@ std::string trace_to_json() {
   for (const auto& [tid, label] : names) {
     comma();
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" + pid +
-           ",\"tid\":" + std::to_string(tid) + ",\"args\":{\"name\":\"";
-    json_escape_into(out, label);
-    out += "\"}}";
+           ",\"tid\":" + std::to_string(tid) + ",\"args\":{\"name\":";
+    json_append_quoted(out, label);
+    out += "}}";
   }
   for (const SpanRecord& span : spans) {
     comma();
-    out += "{\"name\":\"";
-    json_escape_into(out, span.name);
-    out += "\",\"cat\":\"";
-    json_escape_into(out, span.category);
-    out += "\",\"ph\":\"X\",\"ts\":" + std::to_string(span.start_us) +
+    out += "{\"name\":";
+    json_append_quoted(out, span.name);
+    out += ",\"cat\":";
+    json_append_quoted(out, span.category);
+    out += ",\"ph\":\"X\",\"ts\":" + std::to_string(span.start_us) +
            ",\"dur\":" + std::to_string(span.duration_us) + ",\"pid\":" +
            pid + ",\"tid\":" + std::to_string(span.thread_id) +
            ",\"args\":{\"depth\":" + std::to_string(span.depth) + "}}";
   }
   for (const CounterRecord& record : counters) {
     comma();
-    out += "{\"name\":\"";
-    json_escape_into(out, record.name);
-    out += "\",\"ph\":\"C\",\"ts\":" + std::to_string(record.time_us) +
+    out += "{\"name\":";
+    json_append_quoted(out, record.name);
+    out += ",\"ph\":\"C\",\"ts\":" + std::to_string(record.time_us) +
            ",\"pid\":" + pid + ",\"tid\":" +
            std::to_string(record.thread_id) + ",\"args\":{";
     for (std::size_t i = 0; i < record.values.size(); ++i) {
       if (i) out += ",";
-      out += "\"";
-      json_escape_into(out, record.values[i].first);
-      out += "\":" + json_number(record.values[i].second);
+      json_append_quoted(out, record.values[i].first);
+      out += ':';
+      json_append_number(out, record.values[i].second);
     }
     out += "}}";
   }

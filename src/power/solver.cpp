@@ -561,15 +561,15 @@ class StopCheck {
   std::optional<SolveStop> stop_;
 };
 
-/// The result of iterate `field`: the true relative residual
-/// |b - A v| / |b| (computed in `work`), its verdict, and the field with
-/// Vdd written back at the pads.
+/// The result of iterate `field`, given rr = |b - A v|^2 of it: the true
+/// relative residual |b - A v| / |b|, its verdict, and the field with Vdd
+/// written back at the pads.
 SolveResult finish(const Mesh& m, double vdd, double b_scale,
-                   Grid2D<double> field, std::vector<double>& work,
-                   int iterations, const StopCheck& check) {
+                   Grid2D<double> field, double rr, int iterations,
+                   const StopCheck& check) {
   std::vector<double>& v = field.data();
   SolveResult result;
-  result.relative_residual = std::sqrt(residual(m, m.b, v, work)) / b_scale;
+  result.relative_residual = std::sqrt(rr) / b_scale;
   result.stop = check.verdict(result.relative_residual);
   result.converged = result.stop == SolveStop::Converged;
   result.iterations = iterations;
@@ -607,7 +607,8 @@ SolveResult solve_sor(const System& sys, double vdd,
       }
     }
   }
-  return finish(m, vdd, b_scale, std::move(field), r, iter, check);
+  const double rr = residual(m, m.b, v, r);
+  return finish(m, vdd, b_scale, std::move(field), rr, iter, check);
 }
 
 SolveResult solve_cg(const System& sys, double vdd,
@@ -618,14 +619,17 @@ SolveResult solve_cg(const System& sys, double vdd,
   Grid2D<double> field = initial_iterate(m, vdd, options);
   std::vector<double>& x = field.data();
   std::vector<double> r(n);
-  std::vector<double> z(n);
-  std::vector<double> ap(n);
-  VCycle preconditioner(m);
-
   double rr = residual(m, m.b, x, r);
-  relax(m, r, z, kRed, 1.0);  // red_from_zero(r), as z starts at 0
-  double rz = preconditioner.apply(r, z);
-  std::vector<double> p = z;
+
+  // The preconditioner, its work vectors and its first V-cycle wait for
+  // the first step: a solve that stops at iteration 0 (a warm start that
+  // already meets the tolerance, an expired budget, a fault) builds none
+  // of them. Every vector sees the same operations in the same order.
+  std::optional<VCycle> preconditioner;
+  std::vector<double> z;
+  std::vector<double> ap;
+  std::vector<double> p;
+  double rz = 0.0;
 
   StopCheck check(options);
   int iter = 0;
@@ -633,6 +637,14 @@ SolveResult solve_cg(const System& sys, double vdd,
     if (check.faulted()) break;
     if (check.stop(std::sqrt(rr) / b_scale, iter)) break;
 
+    if (!preconditioner) {
+      z.resize(n);
+      ap.resize(n);
+      preconditioner.emplace(m);
+      relax(m, r, z, kRed, 1.0);  // red_from_zero(r), as z starts at 0
+      rz = preconditioner->apply(r, z);
+      p = z;
+    }
     const double p_ap = apply(m, p, ap);
     if (!(p_ap > 0.0) || !std::isfinite(p_ap)) {
       // Lost positive definiteness (ill-conditioned or corrupt mesh):
@@ -651,7 +663,7 @@ SolveResult solve_cg(const System& sys, double vdd,
       red_from_zero(m, r, z, y);
       return row;
     });
-    const double rz_next = preconditioner.apply(r, z);
+    const double rz_next = preconditioner->apply(r, z);
     const double beta = rz_next / rz;
     rz = rz_next;
     for_rows(m.k, n, [&](int y) {
@@ -660,7 +672,10 @@ SolveResult solve_cg(const System& sys, double vdd,
       }
     });
   }
-  return finish(m, vdd, b_scale, std::move(field), ap, iter, check);
+  // With no step taken, x is the iterate the first residual() read, and
+  // rr is already its |b - A x|^2; after a step rr is the recurrence's.
+  if (iter > 0) rr = residual(m, m.b, x, r);
+  return finish(m, vdd, b_scale, std::move(field), rr, iter, check);
 }
 
 }  // namespace

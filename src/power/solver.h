@@ -55,9 +55,11 @@ struct SolverOptions {
   /// the old field is already near the new solution, so CG/SOR converge
   /// in a fraction of the cold iteration count; the converged answer is
   /// still driven to the same `tolerance`, so warm and cold results agree
-  /// within it (the contract tests/session_test.cpp enforces). Null (the
-  /// default) is the cold start. Non-owning; must match the grid's k x k
-  /// shape when set.
+  /// within it (the contract tests/session_test.cpp enforces). CG builds
+  /// its V-cycle preconditioner at its first step, so a warm start that
+  /// already meets the tolerance returns after one residual pass, with 0
+  /// iterations and no V-cycle built. Null (the default) is the cold
+  /// start. Non-owning; must match the grid's k x k shape when set.
   const Grid2D<double>* warm_start = nullptr;
 };
 

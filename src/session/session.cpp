@@ -35,6 +35,9 @@ DesignSession::DesignSession(const Package& package,
           "DesignSession: Eq.-(3) weights must be non-negative");
   engine_ = CheckEngine(CheckEngineOptions{options_.check_config,
                                            options_.check_stage_mask});
+  for (int slot = 0; slot < ring_.slot_count(); ++slot) {
+    slot_nodes_.push_back(ring_.node_of_slot(slot));
+  }
 
   // The congestion model: DensityMap's rows under the default bottom-left
   // plan and Balanced crossing, a histogram of every gap's count, and the
@@ -233,7 +236,14 @@ SessionEvaluation DesignSession::evaluate(
     }
   }
   if (what.ir && has_supply_) {
-    grid_.set_pads(ring_.supply_nodes(assignment()));
+    // The engine keeps the supply pads' ring slots, ascending, as
+    // ring_.supply_nodes() would list them.
+    std::vector<IPoint> pads;
+    pads.reserve(state_.supply_slots().size());
+    for (const int slot : state_.supply_slots()) {
+      pads.push_back(slot_nodes_[static_cast<std::size_t>(slot)]);
+    }
+    grid_.set_pads(pads);
     SolverOptions solver = options_.solver;
     if (options_.warm_start && last_voltage_.has_value()) {
       solver.warm_start = &*last_voltage_;
@@ -241,7 +251,7 @@ SessionEvaluation DesignSession::evaluate(
     } else {
       ++stats_.cold_solves;
     }
-    const SolveResult solved = solve(grid_, solver);
+    SolveResult solved = solve(grid_, solver);
     ev.have_ir = true;
     ev.warm_started = solved.warm_started;
     ev.ir.max_drop_v = max_ir_drop(grid_, solved);
@@ -251,7 +261,7 @@ SessionEvaluation DesignSession::evaluate(
     ev.ir.converged = solved.converged;
     ev.ir.solver_stop = solved.stop;
     ev.ir.solver_attempts = static_cast<int>(solved.attempts.size());
-    last_voltage_ = solved.voltage;
+    last_voltage_ = std::move(solved.voltage);
   }
   if (what.check) {
     ev.have_check = true;

@@ -26,6 +26,11 @@
 //                         (SolverOptions::warm_start), converging in a
 //                         fraction of the cold iteration count while the
 //                         answer stays within the declared tolerance.
+//                         The supply pads are the swap engine's ring
+//                         slots, mapped through a slot -> mesh node table
+//                         built at load. A warm start that already meets
+//                         the tolerance (no pad moved on the mesh) costs
+//                         one residual pass and builds no V-cycle.
 //   * DRC              -- one incremental CheckEngine (analysis/engine.h)
 //                         told note_swap() per edit, so only dirty rules
 //                         re-run and findings stay bit-identical to a
@@ -213,6 +218,7 @@ class DesignSession {
   int max_density_ = 0;
   PowerGrid grid_;
   PadRing ring_;
+  std::vector<IPoint> slot_nodes_;  // mesh node of each ring slot
   std::optional<Grid2D<double>> last_voltage_;
   CheckEngine engine_;
   mutable SessionStats stats_;  // evaluate_cold() counts on a const path

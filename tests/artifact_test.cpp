@@ -7,10 +7,15 @@
 #include <sys/wait.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -36,6 +41,8 @@ TEST(ArtifactJson, DumpIsCanonicalAndRoundTrips) {
   list.push(obs::Json::boolean(true));
   list.push(obs::Json());
   list.push(obs::Json::number(1.0 / 3.0));
+  list.push(obs::Json::number(std::numeric_limits<double>::denorm_min()));
+  list.push(obs::Json::number(-0.0));
   doc.set("list", std::move(list));
 
   const std::string text = doc.dump();
@@ -47,6 +54,9 @@ TEST(ArtifactJson, DumpIsCanonicalAndRoundTrips) {
   EXPECT_EQ(back.dump(), text);
   // %.17g round-trips every double exactly.
   EXPECT_EQ(back.at("list").items()[2].as_number(), 1.0 / 3.0);
+  EXPECT_EQ(back.at("list").items()[3].as_number(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(std::signbit(back.at("list").items()[4].as_number()));
   EXPECT_EQ(back.at("alpha").as_string(), "a \"b\"\n\t\\");
 }
 
@@ -59,6 +69,18 @@ TEST(ArtifactJson, StrictParserRejectsMalformedDocuments) {
   EXPECT_THROW((void)obs::json_parse(""), InvalidArgument);
   EXPECT_THROW((void)obs::json_parse("{'a':1}"), InvalidArgument);
   EXPECT_THROW((void)obs::json_parse("{\"a\"}"), InvalidArgument);
+  // Numbers follow the JSON grammar: no '+' sign, no bare or trailing
+  // '.', no leading zero, an exponent needs digits.
+  for (const char* number : {"+5", ".5", "5.", "01", "1.e5", "-.5", "1e", "-",
+                             "{\"id\":+5}", "[1.5e+]"}) {
+    EXPECT_THROW((void)obs::json_parse(number), InvalidArgument) << number;
+  }
+  // Beyond +-DBL_MAX, or nonzero and rounding to 0: out of range.
+  for (const char* number : {"1e400", "-1.8e308", "1e-400"}) {
+    EXPECT_THROW((void)obs::json_parse(number), InvalidArgument) << number;
+  }
+  EXPECT_EQ(obs::json_parse("-0.5e-3").as_number(), -0.5e-3);
+  EXPECT_EQ(obs::json_parse("0E+2").as_number(), 0.0);
 }
 
 /// `depth` nested arrays: "[[...]]".
@@ -164,6 +186,44 @@ TEST(ArtifactJson, AccessorsEnforceKinds) {
   const obs::Json object = obs::Json::object();
   EXPECT_THROW((void)object.at("missing"), InvalidArgument);
   EXPECT_FALSE(object.has("missing"));
+}
+
+/// The bit pattern of `value`.
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+// Every finite double is written in the bytes of "%.17g" and parses back
+// to its own bits: signed zeros, the normal and subnormal extremes, the
+// edge of exact integers, and 100k random bit patterns.
+TEST(ArtifactJson, NumberTextMatchesPrintf) {
+  using limits = std::numeric_limits<double>;
+  const double two53 = 9007199254740992.0;
+  std::vector<double> table = {0.0, -0.0, limits::min(), -limits::min(),
+                               limits::denorm_min(), limits::max(),
+                               -limits::max(), two53 - 1.0, two53 + 1.0,
+                               0.1, 1.0 / 3.0};
+  std::mt19937_64 rng(20261018);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = rng();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof value);
+    table.push_back(value);
+  }
+  for (const double value : table) {
+    const std::string text = obs::json_number_text(value);
+    if (!std::isfinite(value)) {
+      EXPECT_EQ(text, "0");
+      continue;
+    }
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%.17g", value);
+    ASSERT_EQ(text, expected) << std::hexfloat << value;
+    ASSERT_EQ(bits_of(obs::json_parse(text).as_number()), bits_of(value))
+        << text;
+  }
 }
 
 TEST(ArtifactJson, NumberTextClampsNonFinite) {

@@ -58,15 +58,18 @@ void check_positions(const IncrementalCost& incremental) {
 }
 
 /// Random legal swaps and multi-level undos from the DFA order: after
-/// every step the journal rewinds to the saved orders and the position
-/// index matches the order; every few steps each term equals the full
-/// recomputation.
+/// every step the journal rewinds to the saved orders, the position index
+/// matches the order and the supply slots are the ring's; every few steps
+/// each term equals the full recomputation.
 void sweep_swaps_and_undos(const Package& package, std::uint64_t seed) {
   const PackageAssignment initial = DfaAssigner().assign(package);
   const IncreasedDensity baseline(package, initial);
   IncrementalCost incremental(package, initial, 20.0, 2.0, 1.0);
+  const PadRing ring(package, 32);
   check_equivalence(package, initial, incremental, baseline);
   check_positions(incremental);
+  ASSERT_EQ(incremental.supply_slots(),
+            ring.supply_slots(incremental.assignment()));
 
   Rng rng(seed * 77 + 1);
   int applied = 0;
@@ -81,6 +84,8 @@ void sweep_swaps_and_undos(const Package& package, std::uint64_t seed) {
       for (std::size_t d = 0; d < depth; ++d) {
         incremental.undo_last();
         ASSERT_EQ(incremental.assignment().ring_order(), history.back());
+        ASSERT_EQ(incremental.supply_slots(),
+                  ring.supply_slots(incremental.assignment()));
         history.pop_back();
       }
     } else {
@@ -99,6 +104,8 @@ void sweep_swaps_and_undos(const Package& package, std::uint64_t seed) {
 
       history.push_back(incremental.assignment().ring_order());
       incremental.apply_swap(qi, left);
+      ASSERT_EQ(incremental.supply_slots(),
+                ring.supply_slots(incremental.assignment()));
       ++applied;
     }
     ASSERT_EQ(incremental.swap_count(), history.size());

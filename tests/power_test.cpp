@@ -18,6 +18,7 @@
 
 #include "assign/dfa.h"
 #include "exec/exec.h"
+#include "obs/metrics.h"
 #include "obs/progress.h"
 #include "package/circuit_generator.h"
 #include "power/pad_ring.h"
@@ -607,8 +608,10 @@ std::string pin_row(const PinnedSolve& pin) {
 // The solver's exact outputs on each load path and pad layout it serves:
 // cold CG on the signoff pad sets from k = 3 (every coarse level skipped)
 // to 256, interior area pads, a hotspot, explicit anisotropic currents,
-// SOR, and a warm re-solve after a pad moves. Kernel rewrites must keep
-// every bit. The values were captured at commit 535db44; a deliberate
+// SOR, a warm re-solve after a pad moves, and a warm re-solve on
+// unchanged pads, which stops at iteration 0 with the cold row's field and
+// residual. Kernel rewrites must keep every bit. The values were captured
+// at commit 535db44 (the unchanged-pads row at 299f7ab); a deliberate
 // numeric change updates them in its own commit, with the reason.
 TEST(Solver, KernelsKeepTheParentsBits) {
   const PinnedSolve expected[] = {
@@ -642,6 +645,8 @@ TEST(Solver, KernelsKeepTheParentsBits) {
        0x1.8e1d6f0be77e7p-6, 0x1.69f9e1a0ff65p-31, 0x62840396d437e960ULL},
       {"cg warm c1 psi1 k=97", 9, 0x1.8fc05d4f71b6p-5,
        0x1.02bb53cac4bp-5, 0x1.7d0b320272c3fp-32, 0xe8156e428467f33cULL},
+      {"cg warm unchanged c1 psi1 k=97", 0, 0x1.8f8c2d0a8442p-5,
+       0x1.0272d601e4727p-5, 0x1.cb70d3c7db4e7p-31, 0x29f25854aca79da2ULL},
   };
   std::vector<PinnedSolve> actual;
   const auto record = [&](const char* name, const PowerGrid& grid,
@@ -702,12 +707,14 @@ TEST(Solver, KernelsKeepTheParentsBits) {
 
   PowerGrid moved = table1_grid(1, 1, 97);
   const SolveResult cold = solve(moved, SolverOptions{});
+  const PowerGrid unchanged = moved;
   std::vector<IPoint> pads = moved.pads();
   pads.front().x = pads.front().x > 0 ? pads.front().x - 1 : 1;
   moved.set_pads(pads);
   SolverOptions warm;
   warm.warm_start = &cold.voltage;
   record("cg warm c1 psi1 k=97", moved, warm);
+  record("cg warm unchanged c1 psi1 k=97", unchanged, warm);
 
   ASSERT_EQ(actual.size(), std::size(expected));
   for (std::size_t i = 0; i < actual.size(); ++i) {
@@ -721,6 +728,33 @@ TEST(Solver, KernelsKeepTheParentsBits) {
     EXPECT_EQ(got.relative_residual, want.relative_residual) << row;
     EXPECT_EQ(got.field_hash, want.field_hash) << row;
   }
+}
+
+// A warm start that already meets the tolerance returns at iteration 0
+// without building the V-cycle: its pooled regions are build_system, the
+// iterate, one residual and the Vdd write-back, where building the
+// levels, the first V-cycle and p = z opened 21 more.
+TEST(Solver, ConvergedWarmStartBuildsNoPreconditioner) {
+  const PowerGrid grid = table1_grid(1, 1, 256);
+  const SolveResult cold = solve(grid, SolverOptions{});
+  ASSERT_TRUE(cold.converged);
+  SolverOptions warm;
+  warm.warm_start = &cold.voltage;
+
+  obs::MetricsRegistry::global().clear();
+  obs::set_metrics_enabled(true);
+  const SolveResult again = solve(grid, warm);
+  obs::set_metrics_enabled(false);
+  const auto regions =
+      obs::MetricsRegistry::global().counter_value("exec.regions");
+  obs::MetricsRegistry::global().clear();
+
+  EXPECT_EQ(again.iterations, 0);
+  EXPECT_TRUE(again.converged);
+  EXPECT_EQ(again.relative_residual, cold.relative_residual);
+  EXPECT_EQ(again.voltage.data(), cold.voltage.data());
+  ASSERT_TRUE(regions.has_value());
+  EXPECT_LE(*regions, 4);
 }
 
 }  // namespace

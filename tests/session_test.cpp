@@ -259,6 +259,31 @@ TEST(DesignSession, WarmSolveMatchesColdWithinTolerance) {
   EXPECT_GE(session.stats().warm_solves, 4);
 }
 
+// An IR evaluate with no swap since the last one re-solves on the same
+// pads from that solve's field: it already meets the tolerance, so it
+// takes 0 iterations and reports the same drops to the bit.
+TEST(DesignSession, RepeatedEvaluateReusesTheConvergedField) {
+  const Package package = make_package(2, 11);
+  DesignSession session(package, DfaAssigner().assign(package),
+                        small_mesh_options());
+  SessionEvaluateOptions what;
+  what.check = false;
+  Rng rng(77);
+  for (int step = 0; step < 12; ++step) random_swap(session, rng);
+
+  const SessionEvaluation first = session.evaluate(what);
+  const SessionEvaluation second = session.evaluate(what);
+  ASSERT_TRUE(first.have_ir);
+  ASSERT_TRUE(second.have_ir);
+  EXPECT_GT(first.ir.solver_iterations, 0);
+  EXPECT_TRUE(second.warm_started);
+  EXPECT_EQ(second.ir.solver_iterations, 0);
+  EXPECT_TRUE(second.ir.converged);
+  EXPECT_EQ(second.ir.max_drop_v, first.ir.max_drop_v);
+  EXPECT_EQ(second.ir.mean_drop_v, first.ir.mean_drop_v);
+  EXPECT_EQ(second.ir.supply_pad_count, first.ir.supply_pad_count);
+}
+
 // With warm starting disabled every session solve is cold, and at one
 // thread the persistent-mesh path must be bit-identical to the
 // from-scratch path (same pads, same deterministic sweep order).
