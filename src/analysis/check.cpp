@@ -235,16 +235,4 @@ CheckReport run_checks(const CheckContext& context) {
 CheckFailure::CheckFailure(std::string what, CheckReport report)
     : Error(what, ErrorCode::Check), report_(std::move(report)) {}
 
-void check_or_throw(const CheckContext& context, CheckStage stage) {
-  CheckReport report = run_checks(context, stage);
-  if (report.passed()) return;
-  std::string what = "check failed at stage '" +
-                     std::string(to_string(stage)) + "':";
-  for (const CheckFinding& finding : report.findings) {
-    if (finding.waived || finding.severity != CheckSeverity::Error) continue;
-    what += "\n  " + finding.rule + ": " + finding.message;
-  }
-  throw CheckFailure(std::move(what), std::move(report));
-}
-
 }  // namespace fp

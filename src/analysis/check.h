@@ -260,7 +260,7 @@ class CheckRule {
 /// carries a DeterminismInfo.
 [[nodiscard]] CheckReport run_checks(const CheckContext& context);
 
-/// Thrown by check_or_throw; carries the offending report.
+/// Thrown by CheckEngine::run_or_throw; carries the offending report.
 class CheckFailure : public Error {
  public:
   CheckFailure(std::string what, CheckReport report);
@@ -269,11 +269,5 @@ class CheckFailure : public Error {
  private:
   CheckReport report_;
 };
-
-/// Gate between pipeline stages: runs `stage` and throws CheckFailure
-/// listing the rule ids when any Error-severity finding fires. The
-/// codesign flow gates through the incremental CheckEngine
-/// (analysis/engine.h); this per-stage form remains for direct callers.
-void check_or_throw(const CheckContext& context, CheckStage stage);
 
 }  // namespace fp

@@ -102,12 +102,6 @@ void CheckEngine::run_or_throw(const CheckContext& context,
   throw CheckFailure(std::move(what), std::move(report));
 }
 
-void CheckEngine::publish_metrics() const {
-  obs::gauge("check.incremental_saved_s", stats_.saved_s);
-  obs::gauge("check.scans", static_cast<double>(stats_.full_scans +
-                                                stats_.incremental_scans));
-}
-
 std::string CheckBaselineDiff::to_string() const {
   std::string out;
   for (const CheckFinding& finding : new_findings) {

@@ -97,11 +97,6 @@ class CheckEngine {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Pushes cumulative gauges (saved seconds, scan count) into the
-  /// metrics registry (no-op while metrics are disabled); run() and
-  /// note_swap() already publish the per-scan check.* counters.
-  void publish_metrics() const;
-
  private:
   struct CacheEntry {
     std::vector<CheckFinding> findings;  // raw (pre-policy) findings

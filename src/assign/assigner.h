@@ -3,8 +3,9 @@
 // Every assigner guarantees a monotonically legal order by construction.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "package/assignment.h"
 #include "package/package.h"
@@ -26,5 +27,20 @@ class Assigner {
   /// parts separately).
   [[nodiscard]] PackageAssignment assign(const Package& package) const;
 };
+
+enum class AssignmentMethod { Random, Ifa, Dfa };
+
+[[nodiscard]] std::string_view to_string(AssignmentMethod method);
+
+/// "random", "ifa" or "dfa"; throws InvalidArgument on anything else.
+[[nodiscard]] AssignmentMethod parse_assignment_method(std::string_view text);
+
+/// The assignment step of the co-design flow (Fig. 1(B)): `seed` drives
+/// the Random baseline, `dfa_cut_line_n` is DFA's n (>= 1); each is read
+/// only by its own method.
+[[nodiscard]] PackageAssignment plan_assignment(const Package& package,
+                                                AssignmentMethod method,
+                                                std::uint64_t seed,
+                                                int dfa_cut_line_n);
 
 }  // namespace fp

@@ -45,8 +45,6 @@ class DfaAssigner final : public Assigner {
 
   using Assigner::assign;
 
-  [[nodiscard]] int cut_line_n() const { return cut_line_n_; }
-
  private:
   int cut_line_n_;
 };

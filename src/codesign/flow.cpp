@@ -8,9 +8,6 @@
 #include "analysis/check.h"
 #include "analysis/engine.h"
 #include "exec/exec.h"
-#include "assign/dfa.h"
-#include "assign/ifa.h"
-#include "assign/random_assigner.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -22,18 +19,6 @@
 #include "util/timer.h"
 
 namespace fp {
-
-std::string_view to_string(AssignmentMethod method) {
-  switch (method) {
-    case AssignmentMethod::Random:
-      return "random";
-    case AssignmentMethod::Ifa:
-      return "IFA";
-    case AssignmentMethod::Dfa:
-      return "DFA";
-  }
-  return "unknown";
-}
 
 std::string_view to_string(DegradeReason reason) {
   switch (reason) {
@@ -64,6 +49,28 @@ double FlowResult::bonding_improvement_percent() const {
          static_cast<double>(bonding_initial.omega) * 100.0;
 }
 
+namespace {
+
+/// One flow stage's span "flow.<stage>", progress line and, on exit,
+/// StageTiming (the flow.stage.* gauges are written from those), recorded
+/// even when the stage did no work so the breakdown sums to ~runtime_s.
+/// `span_name` is a literal: with tracing and progress off, no name is built.
+struct FlowStage {
+  FlowStage(const char* span_name, std::vector<StageTiming>& out)
+      : span(span_name, "flow"), name(span_name + sizeof("flow.") - 1),
+        timings(out) {
+    if (obs::progress_enabled()) obs::progress_stage(name);
+  }
+  ~FlowStage() { timings.push_back(StageTiming{name, timer.seconds()}); }
+
+  const Timer timer;
+  const obs::ScopedSpan span;
+  const char* const name;
+  std::vector<StageTiming>& timings;
+};
+
+}  // namespace
+
 CodesignFlow::CodesignFlow(FlowOptions options)
     : options_(std::move(options)) {}
 
@@ -71,12 +78,6 @@ FlowResult CodesignFlow::run(const Package& package) const {
   const Timer timer;
   const obs::ScopedSpan flow_span("flow.run", "flow");
   FlowResult result;
-  // Every stage contributes one entry even when it did no work, so the
-  // breakdown always sums to ~runtime_s and downstream consumers (report,
-  // summary, tests) can rely on the stage order.
-  const auto record_stage = [&result](const char* name, const Timer& stage) {
-    result.stage_timings.push_back(StageTiming{name, stage.seconds()});
-  };
   const auto degrade = [&result](const char* stage, DegradeReason reason,
                                  std::string detail) {
     result.degraded = true;
@@ -132,50 +133,34 @@ FlowResult CodesignFlow::run(const Package& package) const {
                               check_stage_bit(CheckStage::Assignment);
   CheckEngine check_engine(engine_options);
   {
-    const Timer stage;
-    const obs::ScopedSpan span("flow.check", "flow");
-    if (obs::progress_enabled()) obs::progress_stage("check");
+    const FlowStage stage("flow.check", result.stage_timings);
     if (options_.self_check) {
       check_engine.run_or_throw(check_context, "flow entry");
     }
-    record_stage("check", stage);
   }
 
   // --- step 1: congestion-driven assignment ------------------------------
   {
-    const Timer stage;
-    const obs::ScopedSpan span("flow.assign", "flow");
-    if (obs::progress_enabled()) obs::progress_stage("assign");
-    switch (options_.method) {
-      case AssignmentMethod::Random:
-        result.initial = RandomAssigner(options_.random_seed).assign(package);
-        break;
-      case AssignmentMethod::Ifa:
-        result.initial = IfaAssigner().assign(package);
-        break;
-      case AssignmentMethod::Dfa:
-        result.initial = DfaAssigner(options_.dfa_cut_line_n).assign(package);
-        break;
-    }
+    const FlowStage stage("flow.assign", result.stage_timings);
+    result.initial = plan_assignment(package, options_.method,
+                                     options_.random_seed,
+                                     options_.dfa_cut_line_n);
     if (options_.self_check) {
       check_context.assignment = &result.initial;
       check_engine.note_swap();
       check_engine.run_or_throw(check_context, "after assign");
     }
-    record_stage("assign", stage);
   }
 
   // The analysis stage run before and after the exchange: density and
   // flyline, the IR solve (a solver failure or injected fault degrades
   // to an empty report), bonding, then the stage record.
   const bool has_supply = !package.netlist().supply_nets().empty();
-  const auto analyze = [&](const char* stage_name, const char* span_name,
+  const auto analyze = [&](const char* span_name,
                            const PackageAssignment& assignment, int& density,
                            double& flyline_um, IrReport& ir,
                            BondingWireReport& bonding) {
-    const Timer stage;
-    const obs::ScopedSpan span(span_name, "flow");
-    if (obs::progress_enabled()) obs::progress_stage(stage_name);
+    const FlowStage stage(span_name, result.stage_timings);
     const CancelToken stage_token = run_token.child(budget.analyze_s);
     density = max_density(package, assignment, options_.routing);
     flyline_um = total_flyline_um(package, assignment);
@@ -184,27 +169,23 @@ FlowResult CodesignFlow::run(const Package& package) const {
       if (cancellable) solver.cancel = &stage_token;
       try {
         ir = analyze_ir(package, assignment, options_.grid_spec, solver);
-        note_ir(stage_name, ir);
+        note_ir(stage.name, ir);
       } catch (const SolverError& error) {
         ir = IrReport{};
-        degrade(stage_name, DegradeReason::AnalysisFailed, error.describe());
+        degrade(stage.name, DegradeReason::AnalysisFailed, error.describe());
       } catch (const fault::FaultInjected& error) {
         ir = IrReport{};
-        degrade(stage_name, DegradeReason::AnalysisFailed, error.describe());
+        degrade(stage.name, DegradeReason::AnalysisFailed, error.describe());
       }
     }
     bonding = analyze_bonding(package, assignment, options_.stacking);
-    record_stage(stage_name, stage);
   };
-  analyze("analyze_initial", "flow.analyze.initial", result.initial,
-          result.max_density_initial, result.flyline_initial_um,
-          result.ir_initial, result.bonding_initial);
+  analyze("flow.analyze_initial", result.initial, result.max_density_initial,
+          result.flyline_initial_um, result.ir_initial, result.bonding_initial);
 
   // --- step 2: finger/pad exchange ---------------------------------------
   {
-    const Timer stage;
-    const obs::ScopedSpan span("flow.exchange", "flow");
-    if (obs::progress_enabled()) obs::progress_stage("exchange");
+    const FlowStage stage("flow.exchange", result.stage_timings);
     const CancelToken stage_token = run_token.child(budget.exchange_s);
     if (options_.run_exchange) {
       ExchangeOptions exchange_options = options_.exchange;
@@ -250,12 +231,10 @@ FlowResult CodesignFlow::run(const Package& package) const {
       check_engine.note_swap();
       check_engine.run_or_throw(check_context, "after exchange");
     }
-    record_stage("exchange", stage);
   }
 
-  analyze("analyze_final", "flow.analyze.final", result.final,
-          result.max_density_final, result.flyline_final_um, result.ir_final,
-          result.bonding_final);
+  analyze("flow.analyze_final", result.final, result.max_density_final,
+          result.flyline_final_um, result.ir_final, result.bonding_final);
 
   // An interrupt is attributed once, at the run level: the stage-level
   // events above already say what was cut short, this one says *why* so
@@ -355,16 +334,7 @@ void set_flow_option(FlowOptions& options, std::string_view key,
   const std::string text(value);
   try {
     if (key == "method") {
-      if (value == "random") {
-        options.method = AssignmentMethod::Random;
-      } else if (value == "ifa") {
-        options.method = AssignmentMethod::Ifa;
-      } else if (value == "dfa") {
-        options.method = AssignmentMethod::Dfa;
-      } else {
-        throw InvalidArgument("unknown method '" + text +
-                              "' (expected random|ifa|dfa)");
-      }
+      options.method = parse_assignment_method(value);
     } else if (key == "seed") {
       const std::uint64_t seed = static_cast<std::uint64_t>(parse_int(value));
       options.random_seed = seed;

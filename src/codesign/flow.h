@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "assign/assigner.h"
 #include "exchange/exchange.h"
 #include "package/assignment.h"
 #include "package/package.h"
@@ -22,10 +23,6 @@
 #include "util/cancel.h"
 
 namespace fp {
-
-enum class AssignmentMethod { Random, Ifa, Dfa };
-
-[[nodiscard]] std::string_view to_string(AssignmentMethod method);
 
 /// Wall-clock budget of one flow run (docs/ROBUSTNESS.md). 0 = unlimited.
 /// The total cap bounds every stage; per-stage caps can only shrink a

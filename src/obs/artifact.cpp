@@ -24,10 +24,8 @@ namespace fs = std::filesystem;
 
 /// The environment overrides worth recording: everything that can change
 /// a run's behaviour or outputs (docs/ARTIFACTS.md).
-constexpr const char* kRecordedEnv[] = {
-    "FPKIT_THREADS", "FPKIT_TRACE",        "FPKIT_FAULTS",
-    "FPKIT_LOG_LEVEL", "FPKIT_ARTIFACT_DIR",
-};
+constexpr const char* kRecordedEnv[] = {"FPKIT_THREADS", "FPKIT_TRACE",
+                                        "FPKIT_FAULTS", "FPKIT_ARTIFACT_DIR"};
 
 /// Timing quantities are gated by --max-slowdown, never by equality:
 /// two byte-identical runs still differ in wall clock.

@@ -29,16 +29,6 @@ std::string string_or(const Json& object, std::string_view key,
                                                 : std::move(fallback);
 }
 
-/// Same span order the profiler lays out: thread, start, longer span
-/// first on a tie, then recorded depth. Parts are single-process files,
-/// so the pid never differs inside one part.
-bool span_less(const ProfileSpan& a, const ProfileSpan& b) {
-  if (a.thread_id != b.thread_id) return a.thread_id < b.thread_id;
-  if (a.start_us != b.start_us) return a.start_us < b.start_us;
-  if (a.duration_us != b.duration_us) return a.duration_us > b.duration_us;
-  return a.depth < b.depth;
-}
-
 }  // namespace
 
 Json trace_index_to_json(const TraceIndex& index) {
@@ -93,22 +83,11 @@ MergedTrace merge_traces(const TraceIndex& index,
               " part(s) for " + std::to_string(index.parts.size()) +
               " index entr(ies)");
   MergedTrace merged;
-  std::string& out = merged.json;
-  out = "{\"displayTimeUnit\":\"ms\",";
-  if (!index.trace_id.empty()) {
-    out += "\"otherData\":{\"trace_id\":" + json_quote(index.trace_id) +
-           "},";
-  }
-  out += "\"traceEvents\":[";
-  bool first = true;
-  const auto comma = [&]() {
-    if (!first) out += ",";
-    first = false;
-  };
+  ChromeTrace lanes;
+  lanes.trace_id = index.trace_id;
   for (std::size_t p = 0; p < parts.size(); ++p) {
     const TracePart& lane = index.parts[p];
     const ChromeTrace& part = parts[p];
-    const std::string pid = std::to_string(lane.pid);
     if (!part.trace_id.empty() && part.trace_id != index.trace_id) {
       merged.notes.push_back("part '" + lane.file + "': trace id '" +
                              part.trace_id +
@@ -118,54 +97,26 @@ MergedTrace merge_traces(const TraceIndex& index,
     for (const std::string& note : part.notes) {
       merged.notes.push_back("part '" + lane.file + "': " + note);
     }
-    // Lane metadata first so viewers label the band before its events;
-    // an empty part (worker killed pre-write) still gets its band.
-    comma();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + pid +
-           ",\"tid\":0,\"args\":{\"name\":" + json_quote(lane.name) + "}}";
-    comma();
-    out += "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":" + pid +
-           ",\"tid\":0,\"args\":{\"sort_index\":" +
-           std::to_string(lane.sort_index) + "}}";
+    // The part moves onto its lane: the lane's pid and label, its clock
+    // shifted by the lane's offset. An empty part (worker killed
+    // pre-write) still gets its labelled band.
+    lanes.process_names[lane.pid] = lane.name;
+    lanes.process_sort_indices[lane.pid] = lane.sort_index;
     for (const auto& [key, label] : part.thread_names) {
-      comma();
-      out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" + pid +
-             ",\"tid\":" + std::to_string(key.second) +
-             ",\"args\":{\"name\":" + json_quote(label) + "}}";
+      lanes.thread_names[{lane.pid, key.second}] = label;
     }
-    std::vector<ProfileSpan> spans = part.spans;
-    std::sort(spans.begin(), spans.end(), span_less);
-    for (const ProfileSpan& span : spans) {
-      comma();
-      out += "{\"name\":" + json_quote(span.name) +
-             ",\"cat\":" + json_quote(span.category) +
-             ",\"ph\":\"X\",\"ts\":" +
-             std::to_string(span.start_us + lane.offset_us) +
-             ",\"dur\":" + std::to_string(span.duration_us) +
-             ",\"pid\":" + pid +
-             ",\"tid\":" + std::to_string(span.thread_id) + ",\"args\":{";
-      if (span.depth >= 0) {
-        out += "\"depth\":" + std::to_string(span.depth);
-      }
-      out += "}}";
+    for (ProfileSpan span : part.spans) {
+      span.process_id = lane.pid;
+      span.start_us += lane.offset_us;
+      lanes.spans.push_back(std::move(span));
     }
-    for (const CounterSample& sample : part.counters) {
-      comma();
-      out += "{\"name\":" + json_quote(sample.name) +
-             ",\"ph\":\"C\",\"ts\":" +
-             std::to_string(sample.time_us + lane.offset_us) +
-             ",\"pid\":" + pid +
-             ",\"tid\":" + std::to_string(sample.thread_id) +
-             ",\"args\":{";
-      for (std::size_t i = 0; i < sample.values.size(); ++i) {
-        if (i) out += ",";
-        out += json_quote(sample.values[i].first) + ":" +
-               json_number_text(sample.values[i].second);
-      }
-      out += "}}";
+    for (CounterSample sample : part.counters) {
+      sample.process_id = lane.pid;
+      sample.time_us += lane.offset_us;
+      lanes.counters.push_back(std::move(sample));
     }
   }
-  out += "]}";
+  merged.json = chrome_trace_json(lanes);
   return merged;
 }
 

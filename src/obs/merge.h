@@ -54,10 +54,11 @@ struct MergedTrace {
 };
 
 /// Stitches `parts` (one loaded trace per index entry, in index order)
-/// into one document: per part, process_name/process_sort_index metadata
-/// then thread names, spans and counter samples, all re-stamped with the
-/// part's pid and shifted by its offset. Throws InvalidArgument when the
-/// part count does not match the index.
+/// into one document: each part's thread names, spans and counter
+/// samples are re-stamped with its lane's pid and shifted by its offset,
+/// the lane is labelled with its name and sort index, and
+/// chrome_trace_json() writes the lanes in pid order. Throws
+/// InvalidArgument when the part count does not match the index.
 [[nodiscard]] MergedTrace merge_traces(const TraceIndex& index,
                                        const std::vector<ChromeTrace>& parts);
 

@@ -95,7 +95,6 @@ struct EventFolder {
       span.thread_id = tid;
       trace.spans.push_back(std::move(span));
     } else if (ph == "C") {
-      ++trace.counter_events;
       CounterSample counter;
       counter.name = string_or(event, "name", "(unnamed)");
       counter.time_us = ts;
@@ -119,6 +118,9 @@ struct EventFolder {
         trace.thread_names[{pid, tid}] = string_or(*args, "name", "");
       } else if (name == "process_name") {
         trace.process_names[pid] = string_or(*args, "name", "");
+      } else if (name == "process_sort_index") {
+        trace.process_sort_indices[pid] =
+            static_cast<int>(number_or(*args, "sort_index", 0.0));
       }
     }
   }
@@ -188,18 +190,6 @@ ChromeTrace load_chrome_trace(const std::string& path) {
 }
 
 namespace {
-
-/// Span order used for both aggregation and the flame layout: by process,
-/// then thread, then start time; on a start tie the longer (outer) span
-/// first, then the recorded depth so RAII parent/child pairs with equal
-/// timestamps still stack correctly.
-bool layout_less(const ProfileSpan& a, const ProfileSpan& b) {
-  if (a.process_id != b.process_id) return a.process_id < b.process_id;
-  if (a.thread_id != b.thread_id) return a.thread_id < b.thread_id;
-  if (a.start_us != b.start_us) return a.start_us < b.start_us;
-  if (a.duration_us != b.duration_us) return a.duration_us > b.duration_us;
-  return a.depth < b.depth;
-}
 
 /// Resolves nesting by interval containment per (process, thread); fills
 /// each span's depth (when the trace did not record one) and returns, per

@@ -19,47 +19,9 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace fp::obs {
-
-/// One complete span read back from a trace ("X" events, or a matched
-/// "B"/"E" pair).
-struct ProfileSpan {
-  std::string name;
-  std::string category;
-  std::uint64_t start_us = 0;
-  std::uint64_t duration_us = 0;
-  int process_id = 1;  // Chrome pid; one lane per farm worker process
-  int thread_id = 0;
-  int depth = -1;  // args.depth when present, else -1 (derived later)
-};
-
-/// One counter sample ("C" event) read back from a trace; retained so
-/// merged multi-process traces keep their counter tracks.
-struct CounterSample {
-  std::string name;
-  std::uint64_t time_us = 0;
-  int process_id = 1;
-  int thread_id = 0;
-  std::vector<std::pair<std::string, double>> values;
-};
-
-/// A loaded trace: spans plus process/thread labels and any repair
-/// diagnostics. Threads are keyed (pid, tid) -- two processes may both
-/// have a tid 0.
-struct ChromeTrace {
-  std::vector<ProfileSpan> spans;
-  std::vector<CounterSample> counters;
-  std::map<std::pair<int, int>, std::string> thread_names;
-  std::map<int, std::string> process_names;  // process_name "M" events
-  std::string trace_id;  // otherData.trace_id, "" when absent
-  std::size_t counter_events = 0;  // "C" events seen (== counters.size())
-  /// Human-readable repair notes ("2 unclosed span(s) closed at the last
-  /// recorded timestamp"). Empty for a clean, complete trace.
-  std::vector<std::string> notes;
-
-  [[nodiscard]] bool degraded() const { return !notes.empty(); }
-};
 
 /// Parses a Chrome trace event document (an event array, or an object
 /// with a traceEvents array). Throws InvalidArgument when it is not

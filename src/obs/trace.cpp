@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <set>
 
 #include "obs/json.h"
 #include "util/error.h"
@@ -20,8 +22,8 @@ namespace {
 
 struct TraceStore {
   std::mutex mutex;
-  std::vector<SpanRecord> spans;
-  std::vector<CounterRecord> counters;
+  std::vector<ProfileSpan> spans;
+  std::vector<CounterSample> counters;
   // thread id -> label; deliberately not cleared by reset_trace().
   std::map<int, std::string> thread_names;
   // Cross-process identity; like the thread names it survives
@@ -120,7 +122,7 @@ ScopedSpan::~ScopedSpan() {
   if (!active_) return;
   const std::uint64_t end = now_us();
   const int depth = --thread_depth();
-  SpanRecord record;
+  ProfileSpan record;
   record.name = std::move(name_);
   record.category = std::move(category_);
   record.start_us = start_us_;
@@ -136,7 +138,7 @@ void counter(std::string_view name,
              std::initializer_list<std::pair<std::string_view, double>>
                  values) {
   if (!tracing_enabled()) return;
-  CounterRecord record;
+  CounterSample record;
   record.name.assign(name);
   record.values.reserve(values.size());
   for (const auto& [key, value] : values) {
@@ -161,42 +163,52 @@ std::vector<std::pair<int, std::string>> thread_names() {
   return {s.thread_names.begin(), s.thread_names.end()};
 }
 
-std::vector<SpanRecord> trace_spans() {
+std::vector<ProfileSpan> trace_spans() {
   TraceStore& s = store();
-  std::vector<SpanRecord> spans;
+  std::vector<ProfileSpan> spans;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
     spans = s.spans;
+    for (ProfileSpan& span : spans) span.process_id = s.process.pid;
   }
-  std::sort(spans.begin(), spans.end(),
-            [](const SpanRecord& a, const SpanRecord& b) {
-              if (a.thread_id != b.thread_id) return a.thread_id < b.thread_id;
-              if (a.start_us != b.start_us) return a.start_us < b.start_us;
-              return a.depth < b.depth;
-            });
+  std::sort(spans.begin(), spans.end(), layout_less);
   return spans;
 }
 
-std::vector<CounterRecord> trace_counters() {
+std::vector<CounterSample> trace_counters() {
   TraceStore& s = store();
   const std::lock_guard<std::mutex> lock(s.mutex);
-  return s.counters;
+  std::vector<CounterSample> counters = s.counters;
+  for (CounterSample& sample : counters) sample.process_id = s.process.pid;
+  return counters;
 }
 
-std::string trace_to_json() {
-  const std::vector<SpanRecord> spans = trace_spans();
-  const std::vector<CounterRecord> counters = trace_counters();
-  const std::vector<std::pair<int, std::string>> names = thread_names();
-  const TraceProcess process = trace_process();
-  // A default identity emits the historical single-process document byte
-  // for byte: pid 1, no process metadata, no otherData block.
-  const bool stamped = process.pid != 1 || process.sort_index != 0 ||
-                       !process.name.empty() || !process.trace_id.empty();
-  const std::string pid = std::to_string(process.pid);
+bool layout_less(const ProfileSpan& a, const ProfileSpan& b) {
+  if (a.process_id != b.process_id) return a.process_id < b.process_id;
+  if (a.thread_id != b.thread_id) return a.thread_id < b.thread_id;
+  if (a.start_us != b.start_us) return a.start_us < b.start_us;
+  if (a.duration_us != b.duration_us) return a.duration_us > b.duration_us;
+  return a.depth < b.depth;
+}
+
+std::string chrome_trace_json(const ChromeTrace& trace) {
+  std::vector<ProfileSpan> spans = trace.spans;
+  std::stable_sort(spans.begin(), spans.end(), layout_less);
+  std::vector<CounterSample> counters = trace.counters;
+  std::stable_sort(counters.begin(), counters.end(),
+                   [](const CounterSample& a, const CounterSample& b) {
+                     return a.process_id < b.process_id;
+                   });
+  std::set<int> pids;
+  for (const auto& [pid, name] : trace.process_names) pids.insert(pid);
+  for (const auto& [key, label] : trace.thread_names) pids.insert(key.first);
+  for (const ProfileSpan& span : spans) pids.insert(span.process_id);
+  for (const CounterSample& sample : counters) pids.insert(sample.process_id);
+
   std::string out = "{\"displayTimeUnit\":\"ms\",";
-  if (!process.trace_id.empty()) {
+  if (!trace.trace_id.empty()) {
     out += "\"otherData\":{\"trace_id\":";
-    json_append_quoted(out, process.trace_id);
+    json_append_quoted(out, trace.trace_id);
     out += "},";
   }
   out += "\"traceEvents\":[";
@@ -205,62 +217,95 @@ std::string trace_to_json() {
     if (!first) out += ",";
     first = false;
   };
-  // Process metadata first (when stamped), then thread-name metadata, so
-  // viewers label every track before the first real event: main thread,
-  // exec workers, SA replicas, batch jobs, farm worker processes.
-  if (stamped) {
-    comma();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + pid +
-           ",\"tid\":0,\"args\":{\"name\":";
-    json_append_quoted(out, process.name);
-    out += "}}";
-    comma();
-    out += "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":" + pid +
-           ",\"tid\":0,\"args\":{\"sort_index\":" +
-           std::to_string(process.sort_index) + "}}";
-  }
-  for (const auto& [tid, label] : names) {
-    comma();
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" + pid +
-           ",\"tid\":" + std::to_string(tid) + ",\"args\":{\"name\":";
-    json_append_quoted(out, label);
-    out += "}}";
-  }
-  for (const SpanRecord& span : spans) {
-    comma();
-    out += "{\"name\":";
-    json_append_quoted(out, span.name);
-    out += ",\"cat\":";
-    json_append_quoted(out, span.category);
-    out += ",\"ph\":\"X\",\"ts\":" + std::to_string(span.start_us) +
-           ",\"dur\":" + std::to_string(span.duration_us) + ",\"pid\":" +
-           pid + ",\"tid\":" + std::to_string(span.thread_id) +
-           ",\"args\":{\"depth\":" + std::to_string(span.depth) + "}}";
-  }
-  for (const CounterRecord& record : counters) {
-    comma();
-    out += "{\"name\":";
-    json_append_quoted(out, record.name);
-    out += ",\"ph\":\"C\",\"ts\":" + std::to_string(record.time_us) +
-           ",\"pid\":" + pid + ",\"tid\":" +
-           std::to_string(record.thread_id) + ",\"args\":{";
-    for (std::size_t i = 0; i < record.values.size(); ++i) {
-      if (i) out += ",";
-      json_append_quoted(out, record.values[i].first);
-      out += ':';
-      json_append_number(out, record.values[i].second);
+  auto span = spans.begin();
+  auto sample = counters.begin();
+  for (const int pid : pids) {
+    const std::string pid_text = std::to_string(pid);
+    // Process metadata, then thread names, so viewers label every track
+    // before its first event: main thread, exec workers, SA replicas,
+    // batch jobs, farm worker processes.
+    if (const auto named = trace.process_names.find(pid);
+        named != trace.process_names.end()) {
+      const auto sort = trace.process_sort_indices.find(pid);
+      comma();
+      out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + pid_text +
+             ",\"tid\":0,\"args\":{\"name\":";
+      json_append_quoted(out, named->second);
+      out += "}}";
+      comma();
+      out += "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":" +
+             pid_text + ",\"tid\":0,\"args\":{\"sort_index\":" +
+             std::to_string(sort == trace.process_sort_indices.end()
+                                ? 0
+                                : sort->second) +
+             "}}";
     }
-    out += "}}";
+    for (auto it = trace.thread_names.lower_bound({pid, INT_MIN});
+         it != trace.thread_names.end() && it->first.first == pid; ++it) {
+      comma();
+      out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" + pid_text +
+             ",\"tid\":" + std::to_string(it->first.second) +
+             ",\"args\":{\"name\":";
+      json_append_quoted(out, it->second);
+      out += "}}";
+    }
+    for (; span != spans.end() && span->process_id == pid; ++span) {
+      comma();
+      out += "{\"name\":";
+      json_append_quoted(out, span->name);
+      out += ",\"cat\":";
+      json_append_quoted(out, span->category);
+      out += ",\"ph\":\"X\",\"ts\":" + std::to_string(span->start_us) +
+             ",\"dur\":" + std::to_string(span->duration_us) + ",\"pid\":" +
+             pid_text + ",\"tid\":" + std::to_string(span->thread_id) +
+             ",\"args\":{";
+      if (span->depth >= 0) out += "\"depth\":" + std::to_string(span->depth);
+      out += "}}";
+    }
+    for (; sample != counters.end() && sample->process_id == pid; ++sample) {
+      comma();
+      out += "{\"name\":";
+      json_append_quoted(out, sample->name);
+      out += ",\"ph\":\"C\",\"ts\":" + std::to_string(sample->time_us) +
+             ",\"pid\":" + pid_text + ",\"tid\":" +
+             std::to_string(sample->thread_id) + ",\"args\":{";
+      for (std::size_t i = 0; i < sample->values.size(); ++i) {
+        if (i) out += ",";
+        json_append_quoted(out, sample->values[i].first);
+        out += ':';
+        json_append_number(out, sample->values[i].second);
+      }
+      out += "}}";
+    }
   }
   out += "]}";
   return out;
 }
 
+std::string trace_to_json() {
+  const TraceProcess process = trace_process();
+  ChromeTrace trace;
+  trace.spans = trace_spans();
+  trace.counters = trace_counters();
+  for (auto& [tid, label] : thread_names()) {
+    trace.thread_names[{process.pid, tid}] = std::move(label);
+  }
+  trace.trace_id = process.trace_id;
+  // A default identity keeps the single-process document: no process
+  // metadata (the trace id, when set, goes to otherData).
+  if (process.pid != 1 || process.sort_index != 0 || !process.name.empty() ||
+      !process.trace_id.empty()) {
+    trace.process_names[process.pid] = process.name;
+    trace.process_sort_indices[process.pid] = process.sort_index;
+  }
+  return chrome_trace_json(trace);
+}
+
 std::string trace_to_text() {
-  const std::vector<SpanRecord> spans = trace_spans();
+  const std::vector<ProfileSpan> spans = trace_spans();
   std::string out;
   int current_thread = -1;
-  for (const SpanRecord& span : spans) {
+  for (const ProfileSpan& span : spans) {
     if (span.thread_id != current_thread) {
       current_thread = span.thread_id;
       out += "thread " + std::to_string(current_thread) + "\n";

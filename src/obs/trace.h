@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,23 +64,58 @@ bool apply_trace_parent(std::string_view parent);
 /// timeline (obs::TracePart::offset_us).
 [[nodiscard]] std::uint64_t trace_now_us();
 
-/// One finished span, as stored by the tracer.
-struct SpanRecord {
+/// One complete span: recorded by the tracer, or read back from a trace
+/// ("X" events, or a matched "B"/"E" pair).
+struct ProfileSpan {
   std::string name;
   std::string category;
   std::uint64_t start_us = 0;     // microseconds since the trace epoch
   std::uint64_t duration_us = 0;  // wall-clock duration
-  int thread_id = 0;              // small sequential id, 0 = first thread
-  int depth = 0;                  // nesting depth within its thread
+  int process_id = 1;  // Chrome pid; one lane per farm worker process
+  int thread_id = 0;   // small sequential id, 0 = first thread
+  int depth = -1;  // nesting depth within its thread; -1 = not recorded
 };
 
 /// One counter sample (a Chrome "C" event: a named time series).
-struct CounterRecord {
+struct CounterSample {
   std::string name;
-  std::vector<std::pair<std::string, double>> values;
   std::uint64_t time_us = 0;
+  int process_id = 1;
   int thread_id = 0;
+  std::vector<std::pair<std::string, double>> values;
 };
+
+/// A trace in memory: spans, counters, process/thread labels and any
+/// repair diagnostics of the reader (obs/profile.h). Threads are keyed
+/// (pid, tid) -- two processes may both have a tid 0.
+struct ChromeTrace {
+  std::vector<ProfileSpan> spans;
+  std::vector<CounterSample> counters;
+  std::map<std::pair<int, int>, std::string> thread_names;
+  /// Labelled processes (process_name "M" events); only these get
+  /// process metadata when written.
+  std::map<int, std::string> process_names;
+  std::map<int, int> process_sort_indices;  // process_sort_index events
+  std::string trace_id;  // otherData.trace_id, "" when absent
+  /// Human-readable repair notes ("2 unclosed span(s) closed at the last
+  /// recorded timestamp"). Empty for a clean, complete trace.
+  std::vector<std::string> notes;
+
+  [[nodiscard]] bool degraded() const { return !notes.empty(); }
+};
+
+/// The one span order of the trace writer and the profiler: process,
+/// thread, start time; on a start tie the longer (outer) span first, then
+/// the recorded depth, so RAII parent/child pairs with equal timestamps
+/// still stack correctly.
+[[nodiscard]] bool layout_less(const ProfileSpan& a, const ProfileSpan& b);
+
+/// Chrome trace event format: {"traceEvents":[...]}, the one writer of
+/// traces and merged traces. Per pid, ascending: process_name and
+/// process_sort_index metadata (labelled processes only), thread names,
+/// "X" spans in layout order (with "args":{"depth":N} when recorded),
+/// then "C" counters in stored order.
+[[nodiscard]] std::string chrome_trace_json(const ChromeTrace& trace);
 
 /// RAII span: opens on construction, records on destruction. When
 /// tracing is disabled the constructor is a single branch and the
@@ -117,14 +153,15 @@ void set_thread_name(std::string_view name);
 /// (sequential thread id, label) pairs, ordered by id.
 [[nodiscard]] std::vector<std::pair<int, std::string>> thread_names();
 
-/// Snapshot of every finished span, ordered by (thread, start time).
-[[nodiscard]] std::vector<SpanRecord> trace_spans();
+/// Snapshot of every finished span in layout order, stamped with this
+/// process's pid.
+[[nodiscard]] std::vector<ProfileSpan> trace_spans();
 
-/// Snapshot of every counter sample in emission order.
-[[nodiscard]] std::vector<CounterRecord> trace_counters();
+/// Snapshot of every counter sample in emission order, stamped likewise.
+[[nodiscard]] std::vector<CounterSample> trace_counters();
 
-/// Chrome trace event format: {"traceEvents":[...]}. Spans are complete
-/// ("ph":"X") events; counters are "ph":"C" events.
+/// This process's trace through chrome_trace_json(). A default identity
+/// writes no process metadata.
 [[nodiscard]] std::string trace_to_json();
 
 /// Indented per-thread tree of the recorded spans, for terminal use.

@@ -33,10 +33,6 @@ CircuitSpec CircuitGenerator::table1(int index) {
   return spec;
 }
 
-std::array<CircuitSpec, 5> CircuitGenerator::table1_all() {
-  return {table1(0), table1(1), table1(2), table1(3), table1(4)};
-}
-
 std::vector<int> CircuitGenerator::row_sizes(int net_count, int rows) {
   require(rows >= 1, "row_sizes: need at least one row");
   // Rows must shrink toward the die and hold at least one bump each, so the

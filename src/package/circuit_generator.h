@@ -12,7 +12,6 @@
 // published finger orders.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -42,9 +41,6 @@ class CircuitGenerator {
  public:
   /// The five published Table-1 circuits; index in [0, 5).
   [[nodiscard]] static CircuitSpec table1(int index);
-
-  /// All five Table-1 specs in order.
-  [[nodiscard]] static std::array<CircuitSpec, 5> table1_all();
 
   /// Builds a package from a spec; deterministic in spec.seed.
   [[nodiscard]] static Package generate(const CircuitSpec& spec);

@@ -9,6 +9,18 @@
 
 namespace fp {
 
+IrReport ir_report(const PowerGrid& grid, const SolveResult& solved,
+                   std::size_t supply_pads) {
+  return IrReport{
+      .max_drop_v = max_ir_drop(grid, solved),
+      .mean_drop_v = mean_ir_drop(grid, solved),
+      .supply_pad_count = static_cast<int>(supply_pads),
+      .solver_iterations = solved.iterations,
+      .converged = solved.converged,
+      .solver_stop = solved.stop,
+      .solver_attempts = static_cast<int>(solved.attempts.size())};
+}
+
 IrReport analyze_ir(const Package& package,
                     const PackageAssignment& assignment,
                     const PowerGridSpec& spec, const SolverOptions& options) {
@@ -24,16 +36,7 @@ IrReport analyze_ir(const Package& package,
   const std::vector<IPoint> nodes = ring.supply_nodes(assignment);
   require(!nodes.empty(), "analyze_ir: assignment has no supply pads");
   grid.set_pads(nodes);
-  const SolveResult solved = solve(grid, options);
-  IrReport report;
-  report.max_drop_v = max_ir_drop(grid, solved);
-  report.mean_drop_v = mean_ir_drop(grid, solved);
-  report.supply_pad_count = static_cast<int>(nodes.size());
-  report.solver_iterations = solved.iterations;
-  report.converged = solved.converged;
-  report.solver_stop = solved.stop;
-  report.solver_attempts = static_cast<int>(solved.attempts.size());
-  return report;
+  return ir_report(grid, solve(grid, options), nodes.size());
 }
 
 std::vector<PadCriticality> pad_criticality(PowerGrid& grid,

@@ -5,6 +5,7 @@
 // mesh boundary, solve Eq. (1), and report the worst drop.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "package/assignment.h"
@@ -28,6 +29,13 @@ struct IrReport {
   /// when the primary diverged and solve() escalated; 0 = trivial mesh).
   int solver_attempts = 0;
 };
+
+/// The report of one solve of `grid`. `supply_pads` is the assignment's
+/// supply pad count (one per power or ground net), which exceeds the
+/// grid's distinct pad nodes when several pads snap to one mesh node.
+[[nodiscard]] IrReport ir_report(const PowerGrid& grid,
+                                 const SolveResult& solved,
+                                 std::size_t supply_pads);
 
 /// Builds the mesh from `spec` (hotspots may be added via the overload
 /// taking a prepared grid), pins the assignment's supply pads to Vdd and

@@ -9,9 +9,7 @@
 #include <ostream>
 #include <utility>
 
-#include "assign/dfa.h"
-#include "assign/ifa.h"
-#include "assign/random_assigner.h"
+#include "assign/assigner.h"
 #include "io/assignment_file.h"
 #include "io/circuit_file.h"
 #include "obs/metrics.h"
@@ -149,18 +147,11 @@ obs::Json handle_load(ServeState& state, const obs::Json& params,
   if (!assignment_file.empty()) {
     initial = load_assignment(assignment_file, *package);
     method = "file";
-  } else if (method == "dfa") {
-    initial = DfaAssigner(static_cast<int>(param_int(params, "cut", 1)))
-                  .assign(*package);
-  } else if (method == "ifa") {
-    initial = IfaAssigner().assign(*package);
-  } else if (method == "random") {
-    initial = RandomAssigner(static_cast<std::uint64_t>(
-                                 param_int(params, "seed", 1)))
-                  .assign(*package);
   } else {
-    throw InvalidArgument("load: unknown method \"" + method +
-                          "\" (random|ifa|dfa)");
+    const AssignmentMethod planned = parse_assignment_method(method);
+    const auto seed = static_cast<std::uint64_t>(param_int(params, "seed", 1));
+    initial = plan_assignment(*package, planned, seed,
+                              static_cast<int>(param_int(params, "cut", 1)));
   }
 
   auto session = std::make_unique<DesignSession>(

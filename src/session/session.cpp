@@ -5,6 +5,7 @@
 #include "exchange/increased_density.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "power/pad_ring.h"
 #include "route/density.h"
 #include "route/global_router.h"
 #include "route/router.h"
@@ -28,15 +29,15 @@ DesignSession::DesignSession(const Package& package,
       has_supply_(!package.netlist().supply_nets().empty()),
       initial_(std::move(initial)),
       state_(package, initial_, options_.lambda, options_.rho, options_.phi),
-      grid_(options_.grid_spec),
-      ring_(package, options_.grid_spec.nodes_per_side) {
+      grid_(options_.grid_spec) {
   require(options_.lambda >= 0.0 && options_.rho >= 0.0 &&
               options_.phi >= 0.0,
           "DesignSession: Eq.-(3) weights must be non-negative");
   engine_ = CheckEngine(CheckEngineOptions{options_.check_config,
                                            options_.check_stage_mask});
-  for (int slot = 0; slot < ring_.slot_count(); ++slot) {
-    slot_nodes_.push_back(ring_.node_of_slot(slot));
+  const PadRing ring(package, options_.grid_spec.nodes_per_side);
+  for (int slot = 0; slot < ring.slot_count(); ++slot) {
+    slot_nodes_.push_back(ring.node_of_slot(slot));
   }
 
   // The congestion model: DensityMap's rows under the default bottom-left
@@ -237,7 +238,7 @@ SessionEvaluation DesignSession::evaluate(
   }
   if (what.ir && has_supply_) {
     // The engine keeps the supply pads' ring slots, ascending, as
-    // ring_.supply_nodes() would list them.
+    // PadRing::supply_nodes() would list them.
     std::vector<IPoint> pads;
     pads.reserve(state_.supply_slots().size());
     for (const int slot : state_.supply_slots()) {
@@ -254,13 +255,7 @@ SessionEvaluation DesignSession::evaluate(
     SolveResult solved = solve(grid_, solver);
     ev.have_ir = true;
     ev.warm_started = solved.warm_started;
-    ev.ir.max_drop_v = max_ir_drop(grid_, solved);
-    ev.ir.mean_drop_v = mean_ir_drop(grid_, solved);
-    ev.ir.supply_pad_count = static_cast<int>(grid_.pads().size());
-    ev.ir.solver_iterations = solved.iterations;
-    ev.ir.converged = solved.converged;
-    ev.ir.solver_stop = solved.stop;
-    ev.ir.solver_attempts = static_cast<int>(solved.attempts.size());
+    ev.ir = ir_report(grid_, solved, pads.size());
     last_voltage_ = std::move(solved.voltage);
   }
   if (what.check) {
@@ -306,18 +301,9 @@ SessionEvaluation DesignSession::evaluate_cold(
     }
   }
   if (what.ir && has_supply_) {
-    PowerGrid grid(options_.grid_spec);
-    grid.set_pads(ring_.supply_nodes(current));
-    const SolveResult solved = solve(grid, options_.solver);
     ev.have_ir = true;
-    ev.warm_started = solved.warm_started;
-    ev.ir.max_drop_v = max_ir_drop(grid, solved);
-    ev.ir.mean_drop_v = mean_ir_drop(grid, solved);
-    ev.ir.supply_pad_count = static_cast<int>(grid.pads().size());
-    ev.ir.solver_iterations = solved.iterations;
-    ev.ir.converged = solved.converged;
-    ev.ir.solver_stop = solved.stop;
-    ev.ir.solver_attempts = static_cast<int>(solved.attempts.size());
+    ev.ir = analyze_ir(*package_, current, options_.grid_spec,
+                       options_.solver);
   }
   if (what.check) {
     ev.have_check = true;

@@ -54,7 +54,6 @@
 #include "package/assignment.h"
 #include "package/package.h"
 #include "power/ir_analysis.h"
-#include "power/pad_ring.h"
 #include "power/power_grid.h"
 #include "power/solver.h"
 #include "stack/stacking.h"
@@ -217,7 +216,6 @@ class DesignSession {
   std::vector<int> gaps_at_;    // gaps holding each density value
   int max_density_ = 0;
   PowerGrid grid_;
-  PadRing ring_;
   std::vector<IPoint> slot_nodes_;  // mesh node of each ring slot
   std::optional<Grid2D<double>> last_voltage_;
   CheckEngine engine_;

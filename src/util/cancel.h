@@ -84,8 +84,6 @@ class CancelToken {
   /// keep full control of signal semantics.
   void set_interrupt_linked(bool linked) { interrupt_linked_ = linked; }
 
-  [[nodiscard]] bool interrupt_linked() const { return interrupt_linked_; }
-
   /// True when cancelled, interrupted (if linked), or past the deadline.
   /// Cheap enough for every-few-iterations polling (one clock read, and
   /// none at all for undeadlined tokens).

@@ -178,6 +178,48 @@ TEST(CliFlags, DuplicateBatchSeedsExitTwo) {
   EXPECT_EQ(run_fpkit("batch " + circuit + " --seeds 1,1 --mesh 12"), 2);
 }
 
+TEST(CliFlags, RouteAndCheckPlanWithoutSolving) {
+  // Without --assignment, route and check run the assignment step alone:
+  // they print what they print for the stored assignment of `run
+  // --no-exchange`, and no IR solve records a solver.* metric.
+  ASSERT_FALSE(std::string(FPKIT_CLI_PATH).empty());
+  const std::string circuit = cli_circuit("cli_plan");
+  const std::string prefix = ::testing::TempDir() + "cli_plan_";
+  const std::string stored = prefix + "stored.fpa";
+  ASSERT_EQ(run_fpkit("run " + circuit + " --mesh 64 --no-exchange "
+                      "--out-assignment " + stored),
+            0);
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  for (const std::string command : {"route", "check"}) {
+    // Both runs write the same metrics path, so their stdout can match;
+    // the planning run goes last and leaves its metrics behind.
+    const std::string metrics = prefix + command + ".metrics.json";
+    const auto run = [&](const std::string& extra, const std::string& out) {
+      const std::string line = std::string(FPKIT_CLI_PATH) + " " + command +
+                               " " + circuit + " --mesh 64 --metrics " +
+                               metrics + extra + " > " + out +
+                               " 2> /dev/null";
+      const int status = std::system(line.c_str());
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    };
+    const std::string loaded_out = prefix + command + "_stored.out";
+    const std::string planned_out = prefix + command + "_planned.out";
+    const int loaded_exit = run(" --assignment " + stored, loaded_out);
+    const int planned_exit = run("", planned_out);
+    EXPECT_EQ(planned_exit, loaded_exit) << command;
+    EXPECT_EQ(slurp(planned_out), slurp(loaded_out)) << command;
+    const std::string recorded = slurp(metrics);
+    EXPECT_NE(recorded.find("fpkit.metrics.v1"), std::string::npos)
+        << command;
+    EXPECT_EQ(recorded.find("\"solver."), std::string::npos)
+        << command << ": " << recorded;
+  }
+}
+
 TEST(ArtifactJson, AccessorsEnforceKinds) {
   const obs::Json number = obs::Json::number(2.0);
   EXPECT_THROW((void)number.as_string(), InvalidArgument);

@@ -241,6 +241,7 @@ TEST(CheckEngineTest, RunOrThrowCarriesGateLabel) {
               std::string::npos);
     EXPECT_NE(std::string(failure.what()).find("GEOM-001"),
               std::string::npos);
+    EXPECT_FALSE(failure.report().passed());
   }
 }
 

@@ -102,20 +102,6 @@ TEST(CheckReportTest, JsonAndTextCarryTheFindings) {
   EXPECT_EQ(obs::json_parse(dumped).dump() + "\n", dumped);
 }
 
-TEST(CheckReportTest, CheckOrThrowListsTheRules) {
-  PackageGeometry g;
-  g.bump_space_um = 0.05;
-  const Package package = build(g, {{{0, 1}, {2}}});
-  try {
-    check_or_throw(context_of(package), CheckStage::Package);
-    FAIL() << "expected CheckFailure";
-  } catch (const CheckFailure& failure) {
-    EXPECT_NE(std::string(failure.what()).find("GEOM-002"),
-              std::string::npos);
-    EXPECT_FALSE(failure.report().passed());
-  }
-}
-
 TEST(CheckReportTest, MissingInputsAreRejected) {
   CheckContext context;
   EXPECT_THROW((void)run_checks(context), InvalidArgument);

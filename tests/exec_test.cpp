@@ -246,7 +246,7 @@ TEST(ExecObservability, SpansNestCorrectlyOnWorkerThreads) {
   obs::set_tracing_enabled(false);
   int outer = 0;
   int inner = 0;
-  for (const obs::SpanRecord& span : obs::trace_spans()) {
+  for (const obs::ProfileSpan& span : obs::trace_spans()) {
     if (span.name == "exec_test.outer") {
       ++outer;
       EXPECT_EQ(span.depth, 0);

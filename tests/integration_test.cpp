@@ -1,6 +1,5 @@
 // Cross-module integration: the full user journey (generate -> plan ->
-// archive -> reload -> route -> score) must be lossless, plus coverage of
-// the logging facade.
+// archive -> reload -> route -> score) must be lossless.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,7 +9,6 @@
 #include "io/circuit_file.h"
 #include "package/circuit_generator.h"
 #include "route/router.h"
-#include "util/log.h"
 
 namespace fp {
 namespace {
@@ -73,19 +71,6 @@ TEST(Integration, SameSeedSameFlowResult) {
     return flow.final.ring_order();
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-TEST(Log, LevelGateWorks) {
-  const LogLevel previous = log_level();
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  // These must not crash and are suppressed below the threshold.
-  log_debug() << "suppressed " << 1;
-  log_info() << "suppressed";
-  log_warn() << "suppressed";
-  set_log_level(LogLevel::Off);
-  log_error() << "also suppressed";
-  set_log_level(previous);
 }
 
 }  // namespace

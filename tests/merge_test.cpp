@@ -103,6 +103,11 @@ obs::ChromeTrace worker_trace(const std::string& span_name,
   span.duration_us = 50;
   span.thread_id = 0;
   trace.spans.push_back(span);
+  obs::CounterSample sample;
+  sample.name = "sa";
+  sample.time_us = start_us + 5;
+  sample.values = {{"temperature", 1.5}};
+  trace.counters.push_back(sample);
   trace.thread_names[{1, 0}] = "main";
   return trace;
 }
@@ -127,6 +132,19 @@ TEST(MergeTracesTest, OneBandPerPartWithShiftedTimestamps) {
   EXPECT_EQ(stitched.spans[0].process_id, 2);
   EXPECT_EQ(stitched.spans[1].start_us, 270u);
   EXPECT_EQ(stitched.spans[1].process_id, 3);
+  EXPECT_EQ(stitched.process_sort_indices.at(3), 2);
+  // Counter samples and thread names move onto their lane too.
+  ASSERT_EQ(stitched.counters.size(), 2u);
+  EXPECT_EQ(stitched.counters[0].process_id, 2);
+  EXPECT_EQ(stitched.counters[0].time_us, 115u);
+  EXPECT_EQ(stitched.counters[1].process_id, 3);
+  EXPECT_EQ(stitched.counters[1].time_us, 275u);
+  const std::vector<std::pair<std::string, double>> values = {
+      {"temperature", 1.5}};
+  EXPECT_EQ(stitched.counters[1].values, values);
+  ASSERT_EQ(stitched.thread_names.size(), 2u);
+  EXPECT_EQ(stitched.thread_names.at({2, 0}), "main");
+  EXPECT_EQ(stitched.thread_names.at({3, 0}), "main");
 }
 
 TEST(MergeTracesTest, MergeIsDeterministic) {

@@ -275,7 +275,7 @@ TEST_F(ObsTest, SpanNestingAndOrdering) {
     // start time, depth by the per-thread stack.
     const obs::ScopedSpan second("inner_second", "test");
   }
-  const std::vector<obs::SpanRecord> spans = obs::trace_spans();
+  const std::vector<obs::ProfileSpan> spans = obs::trace_spans();
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].name, "outer");
   EXPECT_EQ(spans[0].depth, 0);
@@ -450,8 +450,8 @@ TEST_F(ObsTest, FlowTraceIsStructurallyComplete) {
     if (event.at("ph").string == "X") {
       if (name == "flow.run") run = &event;
       if (name == "flow.check" || name == "flow.assign" ||
-          name == "flow.analyze.initial" || name == "flow.exchange" ||
-          name == "flow.analyze.final") {
+          name == "flow.analyze_initial" || name == "flow.exchange" ||
+          name == "flow.analyze_final") {
         stages[name] = &event;
       }
     } else if (event.at("ph").string == "C") {

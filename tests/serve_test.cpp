@@ -207,21 +207,28 @@ TEST(Serve, ApplicationErrorsAreGracefulResponses) {
        "{\"id\": 2, \"method\": \"load\", \"params\": "
        "{\"circuit\": \"/no/such/file.fp\"}}",
        load_request(circuit, 12),
+       "{\"id\": 7, \"method\": \"load\", \"params\": {\"circuit\": \"" +
+           circuit + "\", \"method\": \"warp\"}}",
        R"({"id": 4, "method": "swap", "params": {"quadrant": 99, "finger": 0}})",
        R"({"id": 5, "method": "undo"})",
        R"({"id": 6, "method": "shutdown"})"},
       responses);
 
-  ASSERT_EQ(responses.size(), 6u);
+  ASSERT_EQ(responses.size(), 7u);
   EXPECT_EQ(responses[0].at("error").at("code").as_string(),
             "FP-INVALID");  // no session loaded yet
   EXPECT_FALSE(responses[1].at("ok").as_bool());  // unreadable circuit
   EXPECT_TRUE(responses[2].at("ok").as_bool());
   EXPECT_EQ(responses[3].at("error").at("code").as_string(),
-            "FP-INVALID");  // out-of-range swap
+            "FP-INVALID");  // unknown assignment method
+  EXPECT_NE(responses[3].at("error").at("message").as_string().find(
+                "unknown method 'warp' (expected random|ifa|dfa)"),
+            std::string::npos);
   EXPECT_EQ(responses[4].at("error").at("code").as_string(),
-            "FP-INVALID");  // empty journal
-  EXPECT_EQ(outcome.errors, 4);
+            "FP-INVALID");  // out-of-range swap
+  EXPECT_EQ(responses[5].at("error").at("code").as_string(),
+            "FP-INVALID");  // empty journal: the first load still serves
+  EXPECT_EQ(outcome.errors, 5);
   EXPECT_EQ(outcome.protocol_errors, 0);
   EXPECT_EQ(outcome.exit_code(), 0);  // application errors never taint it
 }

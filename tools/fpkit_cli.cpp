@@ -19,9 +19,7 @@
 #include "analysis/config.h"
 #include "analysis/engine.h"
 #include "analysis/sarif.h"
-#include "assign/dfa.h"
-#include "assign/ifa.h"
-#include "assign/random_assigner.h"
+#include "assign/assigner.h"
 #include "codesign/flow.h"
 #include "codesign/report.h"
 #include "exec/exec.h"
@@ -198,6 +196,18 @@ int cmd_info(const ArgParser& args) {
   return 0;
 }
 
+/// The assignment `route` and `check` work on: the --assignment file when
+/// given, else the flow's assignment step alone. Both are sign-off passes,
+/// not optimisation runs: no exchange, no IR solve.
+PackageAssignment stored_or_planned(const ArgParser& args,
+                                    const Package& package,
+                                    const FlowOptions& options) {
+  const std::string stored = args.get_string("assignment", "");
+  if (!stored.empty()) return load_assignment(stored, package);
+  return plan_assignment(package, options.method, options.random_seed,
+                         options.dfa_cut_line_n);
+}
+
 int cmd_run(const ArgParser& args) {
   const Package package = load_input(args);
   const FlowOptions options = flow_options(args);
@@ -226,16 +236,9 @@ int cmd_run(const ArgParser& args) {
 
 int cmd_route(const ArgParser& args) {
   const Package package = load_input(args);
-  FlowOptions options = flow_options(args);
-  options.run_exchange = false;
-  // Either route a stored assignment or run the assignment step here.
-  PackageAssignment assignment;
-  const std::string stored = args.get_string("assignment", "");
-  if (!stored.empty()) {
-    assignment = load_assignment(stored, package);
-  } else {
-    assignment = CodesignFlow(options).run(package).final;
-  }
+  const FlowOptions options = flow_options(args);
+  const PackageAssignment assignment =
+      stored_or_planned(args, package, options);
   const PackageRoute route = MonotonicRouter().route(package, assignment);
   std::printf("method %s: max density %d, flyline %.1f um, routed %.1f um\n",
               std::string(to_string(options.method)).c_str(),
@@ -319,8 +322,7 @@ std::string inputs_text(CheckInputSet inputs) {
 }
 
 /// The environment overrides that change behaviour (as opposed to the
-/// observability-only FPKIT_TRACE/FPKIT_ARTIFACT_DIR/FPKIT_LOG_LEVEL),
-/// flagged by DET-004.
+/// observability-only FPKIT_TRACE/FPKIT_ARTIFACT_DIR), flagged by DET-004.
 constexpr const char* kBehaviourEnv[] = {"FPKIT_THREADS", "FPKIT_FAULTS"};
 
 /// DeterminismInfo for the live process: the configuration `fpkit check`
@@ -439,19 +441,8 @@ int cmd_check(const ArgParser& args) {
                                   : audit_determinism(audit_dir);
   context.determinism = &det;
 
-  // Check a stored assignment when given, else the one the configured
-  // assignment method produces (no exchange: check is a sign-off pass,
-  // not an optimisation run).
-  PackageAssignment assignment;
-  const std::string stored = args.get_string("assignment", "");
-  if (!stored.empty()) {
-    assignment = load_assignment(stored, package);
-  } else {
-    FlowOptions plan = options;
-    plan.run_exchange = false;
-    plan.self_check = false;  // `check` reports; it does not throw
-    assignment = CodesignFlow(plan).run(package).final;
-  }
+  const PackageAssignment assignment =
+      stored_or_planned(args, package, options);
   context.assignment = &assignment;
 
   // Materialise routes and the planned vias so the artifact
