@@ -608,11 +608,13 @@ std::string pin_row(const PinnedSolve& pin) {
 // The solver's exact outputs on each load path and pad layout it serves:
 // cold CG on the signoff pad sets from k = 3 (every coarse level skipped)
 // to 256, interior area pads, a hotspot, explicit anisotropic currents,
-// SOR, a warm re-solve after a pad moves, and a warm re-solve on
-// unchanged pads, which stops at iteration 0 with the cold row's field and
-// residual. Kernel rewrites must keep every bit. The values were captured
-// at commit 535db44 (the unchanged-pads row at 299f7ab); a deliberate
-// numeric change updates them in its own commit, with the reason.
+// SOR, a warm re-solve after a pad moves, a warm re-solve on unchanged
+// pads, which stops at iteration 0 with the cold row's field and residual,
+// and the odd-k and small-k edge cases of the colour-split layout. Kernel
+// rewrites must keep every bit. The values were captured at commit 535db44
+// (the unchanged-pads row at 299f7ab, the rows after it at 1dd5cb3); a
+// deliberate numeric change updates them in its own commit, with the
+// reason.
 TEST(Solver, KernelsKeepTheParentsBits) {
   const PinnedSolve expected[] = {
       {"cg c1 psi1 k=3", 1, 0x1.4afd6a052bf4p-6,
@@ -647,6 +649,18 @@ TEST(Solver, KernelsKeepTheParentsBits) {
        0x1.02bb53cac4bp-5, 0x1.7d0b320272c3fp-32, 0xe8156e428467f33cULL},
       {"cg warm unchanged c1 psi1 k=97", 0, 0x1.8f8c2d0a8442p-5,
        0x1.0272d601e4727p-5, 0x1.cb70d3c7db4e7p-31, 0x29f25854aca79da2ULL},
+      {"cg c1 psi1 k=257", 13, 0x1.c233c261a2ep-5,
+       0x1.3433cab396427p-5, 0x1.6e87d6563ec1ap-31, 0xefc62bd1f256d7baULL},
+      {"cg one pad k=2", 1, 0x1.99999998f5c28p-4,
+       0x1.0000000000002p-4, 0x1.f6785f5bf19c5p-36, 0xcf65fe03380b1684ULL},
+      {"cg one pad k=5", 3, 0x1.1981c4cb4f7fcp-3,
+       0x1.ae016a3c3f99cp-4, 0x1.cb4f169d9054ep-51, 0x9af833c7ceb7bbceULL},
+      {"cg area pads k=65", 9, 0x1.d66af400b8d8p-8,
+       0x1.93c34606ab9dcp-8, 0x1.ab5cee567f507p-32, 0xe8c14529ed500442ULL},
+      {"sor gauss-seidel k=34", 2464, 0x1.4f34c1dbe788p-5,
+       0x1.8924f82fc07f3p-6, 0x1.103945ba2f3cdp-30, 0xab10724527c3689fULL},
+      {"cg warm c1 psi1 k=257", 10, 0x1.c255377451c5p-5,
+       0x1.345f93f39574ep-5, 0x1.0670ba3956d07p-31, 0x959827961339977fULL},
   };
   std::vector<PinnedSolve> actual;
   const auto record = [&](const char* name, const PowerGrid& grid,
@@ -715,6 +729,37 @@ TEST(Solver, KernelsKeepTheParentsBits) {
   warm.warm_start = &cold.voltage;
   record("cg warm c1 psi1 k=97", moved, warm);
   record("cg warm unchanged c1 psi1 k=97", unchanged, warm);
+
+  // Odd k, whose colour rows differ in length, down to the 5 x 5 level;
+  // meshes with no interior pair or a lone interior node; interior pads
+  // on odd k; plain Gauss-Seidel on even k; a warm start on odd k.
+  const PowerGrid odd = table1_grid(1, 1, 257);
+  const SolveResult odd_cold = solve(odd, SolverOptions{});
+  record("cg c1 psi1 k=257", odd, SolverOptions{});
+  for (const int k : {2, 5}) {
+    PowerGridSpec one_pad = small_spec();
+    one_pad.nodes_per_side = k;
+    PowerGrid lone(one_pad);
+    lone.set_pads({{0, k / 2}});
+    record(k == 2 ? "cg one pad k=2" : "cg one pad k=5", lone,
+           SolverOptions{});
+  }
+  spec = small_spec();
+  spec.nodes_per_side = 65;
+  PowerGrid area_odd(spec);
+  area_odd.set_pads(area_pad_nodes(16, 65));
+  record("cg area pads k=65", area_odd, SolverOptions{});
+  SolverOptions gauss_seidel;
+  gauss_seidel.kind = SolverKind::Sor;
+  gauss_seidel.sor_omega = 1.0;
+  record("sor gauss-seidel k=34", table1_grid(1, 1, 34), gauss_seidel);
+  PowerGrid odd_moved = odd;
+  std::vector<IPoint> odd_pads = odd_moved.pads();
+  odd_pads.front().x = odd_pads.front().x > 0 ? odd_pads.front().x - 1 : 1;
+  odd_moved.set_pads(odd_pads);
+  SolverOptions odd_warm;
+  odd_warm.warm_start = &odd_cold.voltage;
+  record("cg warm c1 psi1 k=257", odd_moved, odd_warm);
 
   ASSERT_EQ(actual.size(), std::size(expected));
   for (std::size_t i = 0; i < actual.size(); ++i) {
