@@ -1,13 +1,16 @@
 // Google-benchmark microbenchmarks of the core kernels, backing the
 // paper's "runtimes for all cases are within seconds" claim: the three
 // assigners, the congestion estimator, the swap engine, the session's
-// evaluate, the serve protocol, the Eq.-(1) solvers and the full
-// co-design flow. The *Threads benchmarks sweep the exec worker-pool size;
-// `--json [path]` additionally writes the fpkit.bench.parallel.v1 scaling
-// document (BENCH_parallel.json, see bench_common.h).
+// evaluate, the serve protocol, the Eq.-(1) solvers (cold, and serve's
+// warm re-solves) and the full co-design flow, with the host's speed
+// reference (BM_SpinReference) beside them. The *Threads benchmarks sweep
+// the exec worker-pool size; `--json [path]` additionally writes the
+// fpkit.bench.parallel.v1 scaling document (BENCH_parallel.json, see
+// bench_common.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -258,6 +261,69 @@ BENCHMARK_CAPTURE(BM_Solver, sor, SolverKind::Sor)
 // (coarse levels end on the die edge) and k = 512 the sign-off target.
 BENCHMARK_CAPTURE(BM_Solver, cg, SolverKind::ConjugateGradient)
     ->ArgName("k")->DenseRange(16, 48, 16)->Arg(256)->Arg(257)->Arg(512);
+
+/// A warm CG re-solve from a cold solve's field on the serve circuit
+/// (bench_serve_session's: 768 fingers, 4 rows per quadrant, psi 2, DFA
+/// supply pads) at mesh k. `converged` re-solves the same pads and stops
+/// at iteration 0, the path of about 74 % of serve's solves; `moved` first
+/// moves one supply pad one node along the die edge, so the solve
+/// iterates. Each asserts its path before timing it.
+void BM_SolverWarm(benchmark::State& state, bool move_pad) {
+  const int k = static_cast<int>(state.range(0));
+  CircuitSpec spec = CircuitGenerator::table1(2);
+  spec.finger_count = 768;
+  spec.rows_per_quadrant = 4;
+  spec.tier_count = 2;
+  const Package package = CircuitGenerator::generate(spec);
+  PowerGridSpec grid_spec = bench::standard_grid();
+  grid_spec.nodes_per_side = k;
+  PowerGrid grid(grid_spec);
+  grid.set_pads(
+      PadRing(package, k).supply_nodes(DfaAssigner().assign(package)));
+  const SolveResult cold = solve(grid, SolverOptions{});
+  if (move_pad) {
+    std::vector<IPoint> pads = grid.pads();
+    IPoint& pad = pads.front();
+    if (pad.y == 0 || pad.y == k - 1) {
+      pad.x += pad.x > 0 ? -1 : 1;
+    } else {
+      pad.y += pad.y > 0 ? -1 : 1;
+    }
+    grid.set_pads(pads);
+  }
+  SolverOptions options;
+  options.warm_start = &cold.voltage;
+  if ((solve(grid, options).iterations > 0) != move_pad) {
+    state.SkipWithError(move_pad ? "the moved-pad re-solve did not iterate"
+                                 : "the converged re-solve iterated");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solve(grid, options));
+  }
+}
+BENCHMARK_CAPTURE(BM_SolverWarm, converged, false)
+    ->ArgName("k")->Arg(32)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SolverWarm, moved, true)
+    ->ArgName("k")->Arg(32)->Unit(benchmark::kMicrosecond);
+
+/// The host's speed reference: the ALU spin e2e_bench scales its figures
+/// by (xorshift, 500,000 steps). Its time rides along with every run, so
+/// a figure from this suite can be quoted beside it; figures from
+/// different runs still compare only as interleaved A/B runs.
+void BM_SpinReference(benchmark::State& state) {
+  for (auto _ : state) {
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    benchmark::DoNotOptimize(x);
+    for (int i = 0; i < 500'000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_SpinReference)->Unit(benchmark::kMillisecond);
 
 /// 128 x 128 CG solve at a fixed worker-pool size: the analyze-stage
 /// kernel whose dot products and axpy sweeps fan out over the pool.
