@@ -3,10 +3,14 @@
 // The system is the 5-point Laplacian with uniform link conductances,
 // Dirichlet (Vdd) pad nodes and Neumann die edges -- symmetric positive
 // definite on the free nodes as long as at least one pad exists. Both
-// back-ends run on one k x k row-major layout (pad mask, diagonal, Vdd
-// folded into the right-hand side) and report the same relative
-// residual |b - Av| / |b|; the test suite checks each against a dense
-// Cholesky solve of the same system:
+// back-ends run on one private layout: each vector (and the pad mask and
+// the right-hand side, with Vdd folded in) is two colour planes, the red
+// nodes (x + y even) then the black ones, each row of one colour
+// contiguous, so a red-black half-sweep's interior runs two nodes per
+// instruction. No diagonal is stored. Both report the same relative
+// residual |b - Av| / |b| and return SolveResult::voltage row-major; the
+// test suite checks each against a dense Cholesky solve of the same
+// system:
 //   * ConjugateGradient -- the default: CG preconditioned by one
 //     symmetric geometric-multigrid V-cycle (red-black Gauss-Seidel
 //     smoothing and its adjoint, bilinear prolongation and its exact
