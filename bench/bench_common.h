@@ -237,7 +237,7 @@ inline void save_bench_artifact(const std::string& dir,
   obs::capture_environment(manifest);
   for (const ParallelSample& s : samples) {
     const std::string key = s.name + ".t" + std::to_string(s.threads);
-    manifest.stages.push_back(obs::ManifestStage{key, s.wall_s});
+    manifest.stages.push_back(StageTiming{key, s.wall_s});
     manifest.results["speedup." + key] = s.speedup;
   }
   // Metrics ride along when the sweep armed the registry (solver

@@ -62,7 +62,7 @@ void heatmap(fp::PowerGrid& grid, const std::vector<int>& slots,
     nodes.push_back(fp::ring_slot_node(slot, kRingSlots, kMesh));
   }
   grid.set_pads(nodes);
-  fp::save_ir_heatmap_svg(grid, fp::solve(grid), title, path);
+  fp::save_ir_heatmap_svg(grid, fp::solve(grid).voltage, title, path);
 }
 
 }  // namespace

@@ -83,9 +83,9 @@ void save_artifact(const std::string& dir, const ModeResult& plain,
   manifest.threads = exec::default_threads();
   manifest.wall_s = wall_s;
   obs::capture_environment(manifest);
-  manifest.stages.push_back(obs::ManifestStage{"flow_plain", plain.best_s});
+  manifest.stages.push_back(StageTiming{"flow_plain", plain.best_s});
   manifest.stages.push_back(
-      obs::ManifestStage{"flow_traced", traced.best_s});
+      StageTiming{"flow_traced", traced.best_s});
   manifest.results["overhead_ratio"] = ratio;
   manifest.results["spans_per_run"] = static_cast<double>(traced.spans);
   obs::write_run_artifact(dir, manifest, /*include_metrics=*/false,

@@ -140,9 +140,9 @@ void save_artifact(const std::string& dir,
   for (const Sample& s : samples) {
     const std::string mesh = "mesh" + std::to_string(s.mesh);
     manifest.stages.push_back(
-        obs::ManifestStage{"serve_incr." + mesh, s.incr_wall_s});
+        StageTiming{"serve_incr." + mesh, s.incr_wall_s});
     manifest.stages.push_back(
-        obs::ManifestStage{"serve_cold." + mesh, s.cold_wall_s});
+        StageTiming{"serve_cold." + mesh, s.cold_wall_s});
     manifest.results["swaps_per_s.serve_incr." + mesh] = s.incr_rate();
     manifest.results["swaps_per_s.serve_cold." + mesh] = s.cold_rate();
     manifest.results["speedup." + mesh] = s.speedup();

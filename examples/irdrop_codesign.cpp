@@ -38,7 +38,7 @@ int main() {
     grid.add_hotspot({0.6, 0.6, 0.95, 0.95}, 6.0);
     const IrReport report = analyze_ir(package, assignment, grid);
     const SolveResult solved = solve(grid);
-    save_ir_heatmap_svg(grid, solved, title, path);
+    save_ir_heatmap_svg(grid, solved.voltage, title, path);
     return report;
   };
 

@@ -49,6 +49,16 @@ double FlowResult::bonding_improvement_percent() const {
          static_cast<double>(bonding_initial.omega) * 100.0;
 }
 
+int FlowResult::exit_code() const {
+  if (!degraded) return 0;
+  const bool interrupted =
+      std::any_of(degrade_events.begin(), degrade_events.end(),
+                  [](const DegradeEvent& event) {
+                    return event.reason == DegradeReason::Interrupted;
+                  });
+  return interrupted ? 5 : 3;
+}
+
 namespace {
 
 /// One flow stage's span "flow.<stage>", progress line and, on exit,
@@ -154,12 +164,14 @@ FlowResult CodesignFlow::run(const Package& package) const {
 
   // The analysis stage run before and after the exchange: density and
   // flyline, the IR solve (a solver failure or injected fault degrades
-  // to an empty report), bonding, then the stage record.
+  // to an empty report), bonding, then the stage record. A non-null
+  // `voltage` keeps the solved field.
   const bool has_supply = !package.netlist().supply_nets().empty();
   const auto analyze = [&](const char* span_name,
                            const PackageAssignment& assignment, int& density,
                            double& flyline_um, IrReport& ir,
-                           BondingWireReport& bonding) {
+                           BondingWireReport& bonding,
+                           Grid2D<double>* voltage) {
     const FlowStage stage(span_name, result.stage_timings);
     const CancelToken stage_token = run_token.child(budget.analyze_s);
     density = max_density(package, assignment, options_.routing);
@@ -168,7 +180,8 @@ FlowResult CodesignFlow::run(const Package& package) const {
       SolverOptions solver = options_.solver;
       if (cancellable) solver.cancel = &stage_token;
       try {
-        ir = analyze_ir(package, assignment, options_.grid_spec, solver);
+        ir = analyze_ir(package, assignment, options_.grid_spec, solver,
+                        voltage);
         note_ir(stage.name, ir);
       } catch (const SolverError& error) {
         ir = IrReport{};
@@ -181,7 +194,8 @@ FlowResult CodesignFlow::run(const Package& package) const {
     bonding = analyze_bonding(package, assignment, options_.stacking);
   };
   analyze("flow.analyze_initial", result.initial, result.max_density_initial,
-          result.flyline_initial_um, result.ir_initial, result.bonding_initial);
+          result.flyline_initial_um, result.ir_initial, result.bonding_initial,
+          nullptr);
 
   // --- step 2: finger/pad exchange ---------------------------------------
   {
@@ -234,7 +248,8 @@ FlowResult CodesignFlow::run(const Package& package) const {
   }
 
   analyze("flow.analyze_final", result.final, result.max_density_final,
-          result.flyline_final_um, result.ir_final, result.bonding_final);
+          result.flyline_final_um, result.ir_final, result.bonding_final,
+          &result.final_voltage);
 
   // An interrupt is attributed once, at the run level: the stage-level
   // events above already say what was cut short, this one says *why* so
@@ -272,15 +287,16 @@ int BatchResult::failed_count() const {
   return failed;
 }
 
-bool BatchResult::any_degraded() const {
+int BatchResult::degraded_count() const {
+  int degraded = 0;
   for (const BatchJobResult& job : jobs) {
-    if (job.ok && job.result.degraded) return true;
+    if (job.ok && job.result.degraded) ++degraded;
   }
-  return false;
+  return degraded;
 }
 
 BatchResult run_flow_batch(const Package& package,
-                           std::vector<BatchJob> jobs) {
+                           const std::vector<BatchJob>& jobs) {
   const Timer timer;
   const obs::ScopedSpan span("flow.batch", "flow");
   BatchResult batch;
@@ -293,7 +309,7 @@ BatchResult run_flow_batch(const Package& package,
   // than propagated, so one failing scenario cannot take down a sweep.
   exec::parallel_tasks(jobs.size(), [&](std::size_t i) {
     BatchJobResult& out = batch.jobs[i];
-    out.label = std::move(jobs[i].label);
+    out.label = jobs[i].label;
     // One span per job, named by slot: a batch trace reads as
     // "flow.batch.job3" blocks fanned across the worker tracks.
     const obs::ScopedSpan job_span("flow.batch.job" + std::to_string(i),
@@ -309,6 +325,7 @@ BatchResult run_flow_batch(const Package& package,
     }
     try {
       out.result = CodesignFlow(jobs[i].options).run(package);
+      out.result.final_voltage = {};  // k² doubles the batch never draws
       out.ok = true;
     } catch (const std::exception& error) {
       out.error = error.what();

@@ -15,12 +15,14 @@
 
 #include "assign/assigner.h"
 #include "exchange/exchange.h"
+#include "geom/grid2d.h"
 #include "package/assignment.h"
 #include "package/package.h"
 #include "power/ir_analysis.h"
 #include "route/density.h"
 #include "stack/stacking.h"
 #include "util/cancel.h"
+#include "util/timer.h"
 
 namespace fp {
 
@@ -101,12 +103,6 @@ struct FlowOptions {
 #endif
 };
 
-/// Wall-clock time of one flow stage (see FlowResult::stage_timings).
-struct StageTiming {
-  std::string name;
-  double seconds = 0.0;
-};
-
 struct FlowResult {
   PackageAssignment initial;  // after the assignment step
   PackageAssignment final;    // after the exchange step (== initial when
@@ -118,6 +114,11 @@ struct FlowResult {
   /// Zeroed when the netlist has no supply nets.
   IrReport ir_initial;
   IrReport ir_final;
+  /// The final solve's voltage field (volts per mesh node), moved out of
+  /// the analyze_final solve: the one field ir_final reports on, drawn by
+  /// `fpkit run --heatmap`. Empty when the netlist has no supply nets or
+  /// analyze_final failed; run_flow_batch releases it.
+  Grid2D<double> final_voltage;
   BondingWireReport bonding_initial;
   BondingWireReport bonding_final;
   AnnealResult anneal;
@@ -130,10 +131,14 @@ struct FlowResult {
   /// True when any stage delivered best-effort rather than full-quality
   /// results (budget expiry, solver fallback, injected fault...). The
   /// assignments are still legal; only their scores/quality may suffer.
-  /// The CLI maps a degraded run to exit code 3 (docs/ROBUSTNESS.md).
   bool degraded = false;
   /// What degraded, stage by stage, in execution order.
   std::vector<DegradeEvent> degrade_events;
+
+  /// The run's documented exit code (docs/ROBUSTNESS.md): 0 ok, 3
+  /// degraded, 5 interrupted (an Interrupted event outranks the rest).
+  /// `run`, batch jobs and farm workers all record this one.
+  [[nodiscard]] int exit_code() const;
 
   /// (1 - IR_after / IR_before) * 100, the paper's Table-3 "improved
   /// IR-drop"; 0 when IR was not evaluated.
@@ -184,8 +189,8 @@ struct BatchResult {
   double runtime_s = 0.0;
 
   [[nodiscard]] int failed_count() const;
-  /// True when any successful job reported FlowResult::degraded.
-  [[nodiscard]] bool any_degraded() const;
+  /// Successful jobs that reported FlowResult::degraded.
+  [[nodiscard]] int degraded_count() const;
 };
 
 /// Evaluates every job's FlowOptions against the same (shared, read-only)
@@ -194,10 +199,11 @@ struct BatchResult {
 /// budgets, degradation tracking and fault injection all behave exactly
 /// as in a single run -- and results land in slots keyed by job index, so
 /// for a fixed job list the batch output is identical at every thread
-/// count. Used by `fpkit batch` and the bench harnesses for parameter
-/// sweeps (method x seed x mesh...).
+/// count. Used by `fpkit batch` for parameter sweeps (method x seed x
+/// mesh...). A batch keeps every job's result but draws no map, so each
+/// job's final_voltage is released as the job ends.
 [[nodiscard]] BatchResult run_flow_batch(const Package& package,
-                                         std::vector<BatchJob> jobs);
+                                         const std::vector<BatchJob>& jobs);
 
 /// Sets one named flow option from its text form, the one parser behind
 /// `fpkit` flow flags and jobs-file fields. Keys: method (random|ifa|dfa),

@@ -179,10 +179,7 @@ void fill_run_manifest(obs::RunManifest& manifest, const FlowOptions& options,
     manifest.seeds.push_back(options.exchange.schedule.seed +
                              static_cast<std::uint64_t>(i));
   }
-  for (const StageTiming& stage : result.stage_timings) {
-    manifest.stages.push_back(
-        obs::ManifestStage{stage.name, stage.seconds});
-  }
+  manifest.stages = result.stage_timings;
   for (const DegradeEvent& event : result.degrade_events) {
     manifest.events.push_back(obs::ManifestEvent{
         event.stage, std::string(to_string(event.reason)), event.detail});
@@ -213,6 +210,36 @@ void fill_run_manifest(obs::RunManifest& manifest, const FlowOptions& options,
   r["runtime_s"] = result.runtime_s;
 }
 
+namespace {
+
+obs::RunManifest labelled_job(const std::string& label) {
+  obs::RunManifest manifest;
+  manifest.subcommand = "batch-job";
+  manifest.version = std::string(obs::kToolVersion);
+  manifest.extra = obs::Json::object();
+  manifest.extra.set("label", obs::Json::string(label));
+  return manifest;
+}
+
+}  // namespace
+
+obs::RunManifest job_manifest(const std::string& label,
+                              const FlowOptions& options,
+                              const FlowResult& result) {
+  obs::RunManifest manifest = labelled_job(label);
+  fill_run_manifest(manifest, options, result);
+  manifest.exit_code = result.exit_code();
+  return manifest;
+}
+
+obs::RunManifest job_manifest(const std::string& label,
+                              const std::string& error, int exit_code) {
+  obs::RunManifest manifest = labelled_job(label);
+  manifest.extra.set("error", obs::Json::string(error));
+  manifest.exit_code = exit_code;
+  return manifest;
+}
+
 void fill_batch_manifest(obs::RunManifest& manifest,
                          const FlowOptions& base_options,
                          const BatchResult& batch) {
@@ -220,7 +247,7 @@ void fill_batch_manifest(obs::RunManifest& manifest,
   auto& r = manifest.results;
   r["jobs"] = static_cast<double>(batch.jobs.size());
   r["jobs_failed"] = batch.failed_count();
-  r["jobs_degraded"] = batch.any_degraded() ? 1.0 : 0.0;
+  r["jobs_degraded"] = batch.degraded_count();
   r["runtime_s"] = batch.runtime_s;
   // One summary block per job under "extra"; the full per-job story lives
   // in each job's own artifact subdirectory.

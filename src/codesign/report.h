@@ -33,9 +33,22 @@ void save_flow_report(const Package& package, const FlowOptions& options,
 void fill_run_manifest(obs::RunManifest& manifest, const FlowOptions& options,
                        const FlowResult& result);
 
-/// Batch variant: job counts plus per-job summary blocks under "extra".
-/// Per-job artifact subdirectories are written separately with a
-/// fill_run_manifest() manifest each (tools/fpkit_cli.cpp).
+/// The manifest of one finished batch or farm job (jobs/job<i>/):
+/// subcommand "batch-job", the tool version, extra.label, the
+/// fill_run_manifest() record and the flow's exit code. `fpkit batch`,
+/// the farm worker and the farm supervisor all build job manifests here,
+/// so batch and farm trees record an outcome the same way.
+[[nodiscard]] obs::RunManifest job_manifest(const std::string& label,
+                                            const FlowOptions& options,
+                                            const FlowResult& result);
+
+/// The failed form: extra.label, extra.error and the given exit code.
+[[nodiscard]] obs::RunManifest job_manifest(const std::string& label,
+                                            const std::string& error,
+                                            int exit_code);
+
+/// Batch variant: job counts (jobs_degraded counts degraded jobs, as the
+/// farm's manifest does) plus per-job summary blocks under "extra".
 void fill_batch_manifest(obs::RunManifest& manifest,
                          const FlowOptions& base_options,
                          const BatchResult& batch);

@@ -114,16 +114,6 @@ void maybe_stall() {
   }
 }
 
-/// Writes a per-job artifact in exactly the shape `fpkit batch` gives its
-/// job artifacts (manifest only; batch-job subcommand; label and error
-/// under extra), so farm trees and batch trees diff cleanly.
-void write_job_artifact(const std::string& dir, obs::RunManifest manifest) {
-  manifest.subcommand = "batch-job";
-  manifest.version = std::string(obs::kToolVersion);
-  obs::write_run_artifact(dir, manifest, /*include_metrics=*/false,
-                          /*include_trace=*/false);
-}
-
 }  // namespace
 
 int run_farm_worker(const WorkerOptions& options) {
@@ -131,8 +121,8 @@ int run_farm_worker(const WorkerOptions& options) {
   const HeartbeatThread heartbeat(options.heartbeat_path);
   maybe_stall();
 
+  std::string label;  // known once the jobs file parses
   obs::RunManifest manifest;
-  obs::Json extra = obs::Json::object();
   try {
     const std::vector<BatchJob> jobs =
         load_batch_jobs(options.jobs_file, options.base);
@@ -142,45 +132,25 @@ int run_farm_worker(const WorkerOptions& options) {
                 " out of range (jobs file has " +
                 std::to_string(jobs.size()) + " job(s))");
     const BatchJob& job = jobs[static_cast<std::size_t>(options.job_index)];
-    extra.set("label", obs::Json::string(job.label));
+    label = job.label;
 
     const Package package = load_circuit(options.circuit);
     FlowOptions flow = job.options;
     flow.interruptible = true;  // SIGINT/SIGTERM -> best-so-far + exit 5
-    const FlowResult result = CodesignFlow(flow).run(package);
-
-    const bool interrupted = std::any_of(
-        result.degrade_events.begin(), result.degrade_events.end(),
-        [](const DegradeEvent& event) {
-          return event.reason == DegradeReason::Interrupted;
-        });
-    fill_run_manifest(manifest, flow, result);
-    manifest.exit_code = interrupted ? 5 : (result.degraded ? 3 : 0);
-    manifest.extra = std::move(extra);
-    // Host info (peak RSS, cores) per attempt; the supervisor aggregates
-    // these into the farm manifest's host rollup.
-    obs::capture_environment(manifest);
-    write_job_artifact(options.out_dir, std::move(manifest));
-    return interrupted ? 5 : (result.degraded ? 3 : 0);
+    manifest = job_manifest(label, flow, CodesignFlow(flow).run(package));
   } catch (const Error& error) {
-    // Record the failure in the artifact (like a failed batch job), then
-    // surface the documented exit code; the supervisor classifies it.
+    // Record the failure in the artifact (like a failed batch job) and
+    // exit with its documented code; the supervisor classifies it.
     std::fprintf(stderr, "fpkit farm worker: %s\n", error.describe().c_str());
-    const int code = (error.code() == ErrorCode::InvalidInput ||
-                      error.code() == ErrorCode::Io)
-                         ? 2
-                         : 4;
-    extra.set("error", obs::Json::string(error.describe()));
-    manifest.exit_code = code;
-    manifest.extra = std::move(extra);
-    obs::capture_environment(manifest);
-    try {
-      write_job_artifact(options.out_dir, std::move(manifest));
-    } catch (const Error& write_error) {
-      std::fprintf(stderr, "fpkit farm worker: %s\n", write_error.what());
-    }
-    return code;
+    manifest = job_manifest(label, error.describe(),
+                            exit_code_for(error.code()));
   }
+  // Host info (peak RSS, cores) per attempt; the supervisor aggregates
+  // these into the farm manifest's host rollup.
+  obs::capture_environment(manifest);
+  obs::write_run_artifact(options.out_dir, manifest,
+                          /*include_metrics=*/false, /*include_trace=*/false);
+  return manifest.exit_code;
 }
 
 namespace {
@@ -271,20 +241,14 @@ void render_farm_progress(const JournalState& state,
       units += *fraction;
     }
   }
-  const double fraction =
-      std::min(1.0, units / static_cast<double>(jobs));
-  char buf[160];
-  if (fraction > 0.0 && fraction < 1.0 && elapsed_s > 0.0) {
-    const double eta_s = elapsed_s * (1.0 - fraction) / fraction;
-    std::snprintf(buf, sizeof(buf),
-                  "[farm] %3.0f%% (%zu/%zu jobs, %zu running) eta %.1fs",
-                  fraction * 100.0, terminal, jobs, slots.size(), eta_s);
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "[farm] %3.0f%% (%zu/%zu jobs, %zu running)",
-                  fraction * 100.0, terminal, jobs, slots.size());
-  }
-  obs::progress_render(buf, final);
+  char counts[96];
+  std::snprintf(counts, sizeof(counts), "%zu/%zu jobs, %zu running",
+                terminal, jobs, slots.size());
+  obs::progress_render(
+      obs::percent_line("farm",
+                        std::min(1.0, units / static_cast<double>(jobs)),
+                        counts, elapsed_s),
+      final);
 }
 
 /// Turns a reaped worker's exit status into the journal's attempt record.
@@ -377,11 +341,6 @@ FarmOutcome summarize(const JournalState& state, bool interrupted,
   return outcome;
 }
 
-/// Publishes the farm-level manifest (+ metrics) into the farm directory
-/// without disturbing jobs/ or the journal. Result keys mirror `fpkit
-/// batch` (jobs/jobs_failed/jobs_degraded/runtime_s) so compare diffs
-/// farm-vs-batch top manifests cleanly; the farm_* keys are one-sided
-/// extras that never gate.
 /// Folds the per-job artifact host samples (written by the workers) into
 /// one farm-level rollup: the *maximum* peak RSS over attempts (the
 /// worst single process) and the *minimum* core count (the most
@@ -421,6 +380,11 @@ obs::Json host_rollup(const std::string& dir, std::size_t jobs) {
   return rollup;
 }
 
+/// Publishes the farm-level manifest (+ metrics) into the farm directory
+/// without disturbing jobs/ or the journal. Result keys mirror `fpkit
+/// batch` (jobs/jobs_failed/jobs_degraded/runtime_s) so compare diffs
+/// farm-vs-batch top manifests cleanly; the farm_* keys are one-sided
+/// extras that never gate.
 void publish_manifest(const std::string& dir, const FarmJournal& journal,
                       const FarmOutcome& outcome, double wall_s,
                       const obs::TraceIndex* trace_index) {
@@ -557,17 +521,12 @@ void publish_manifest(const std::string& dir, const FarmJournal& journal,
 /// crashed and never wrote a manifest themselves.
 void write_failure_artifact(const std::string& dir, const JobProgress& job,
                             const AttemptRecord& record) {
-  obs::RunManifest manifest;
-  obs::Json extra = obs::Json::object();
-  extra.set("label", obs::Json::string(job.label));
   std::string error = record.code.empty() ? std::string("FP-INTERNAL")
                                           : record.code;
   error += ": " + (record.detail.empty() ? "attempt failed" : record.detail);
   error += " (after " + std::to_string(job.attempts) + " attempt(s))";
-  extra.set("error", obs::Json::string(error));
-  manifest.exit_code = 4;
-  manifest.extra = std::move(extra);
-  write_job_artifact(dir, std::move(manifest));
+  obs::write_run_artifact(dir, job_manifest(job.label, error, 4),
+                          /*include_metrics=*/false, /*include_trace=*/false);
 }
 
 /// The supervisor proper: launch/poll/reap until every job is terminal

@@ -50,11 +50,12 @@ struct WorkerOptions {
   FlowOptions base;            // base options the jobs-file layers over
 };
 
-/// Runs one job in this process and writes its artifact (the same
-/// manifest-only shape as a `fpkit batch` job artifact). Returns the CLI
-/// exit code: 0 ok, 3 degraded, 5 interrupted; a thrown fp::Error is
-/// caught, recorded in the artifact and mapped to 2/4. Crashes are the
-/// point of running in a child -- nothing here contains them.
+/// Runs one job in this process and writes its artifact (job_manifest in
+/// codesign/report.h, as for a `fpkit batch` job). Returns the recorded
+/// exit code: the flow's 0 ok, 3 degraded or 5 interrupted; a thrown
+/// fp::Error is caught, recorded and mapped by exit_code_for to 2/4.
+/// Crashes are the point of running in a child -- nothing here contains
+/// them.
 [[nodiscard]] int run_farm_worker(const WorkerOptions& options);
 
 /// Supervisor configuration for a fresh farm.

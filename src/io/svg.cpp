@@ -5,6 +5,7 @@
 
 #include "util/error.h"
 #include "util/file.h"
+#include "util/strings.h"
 
 namespace fp {
 namespace {
@@ -85,7 +86,7 @@ void SvgCanvas::text(Point anchor, std::string_view content, double size_px,
   elements_.push_back("<text x=\"" + fmt(p.x) + "\" y=\"" + fmt(p.y) +
                       "\" font-size=\"" + fmt(size_px) +
                       "\" font-family=\"monospace\" fill=\"" +
-                      std::string(color) + "\">" + std::string(content) +
+                      std::string(color) + "\">" + xml_escape(content) +
                       "</text>");
 }
 

@@ -219,7 +219,7 @@ Json manifest_to_json(const RunManifest& manifest) {
           Json::number(static_cast<long long>(manifest.exit_code)));
 
   Json stages = Json::array();
-  for (const ManifestStage& stage : manifest.stages) {
+  for (const StageTiming& stage : manifest.stages) {
     Json entry = Json::object();
     entry.set("name", Json::string(stage.name));
     entry.set("seconds", Json::number(stage.seconds));
@@ -290,7 +290,7 @@ RunManifest manifest_from_json(const Json& doc) {
   manifest.exit_code = static_cast<int>(doc.at("exit_code").as_number());
   if (const Json* stages = doc.find("stages")) {
     for (const Json& entry : stages->items()) {
-      manifest.stages.push_back(ManifestStage{
+      manifest.stages.push_back(StageTiming{
           entry.at("name").as_string(), entry.at("seconds").as_number()});
     }
   }
@@ -429,11 +429,11 @@ CompareReport compare_artifacts(const std::string& dir_a,
   comparer.timing("stage", "wall_s", a.manifest.wall_s, b.manifest.wall_s);
   {
     std::map<std::string, double> stages_a;
-    for (const ManifestStage& stage : a.manifest.stages) {
+    for (const StageTiming& stage : a.manifest.stages) {
       stages_a[stage.name] += stage.seconds;
     }
     std::map<std::string, double> stages_b;
-    for (const ManifestStage& stage : b.manifest.stages) {
+    for (const StageTiming& stage : b.manifest.stages) {
       stages_b[stage.name] += stage.seconds;
     }
     for (const auto& [name, seconds] : stages_a) {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "util/timer.h"
 
 namespace fp::obs {
 
@@ -42,13 +43,6 @@ inline constexpr std::string_view kRunSchema = "fpkit.run.v1";
 /// project version); shared by the CLI and the bench harness so both emit
 /// identical manifest headers.
 inline constexpr std::string_view kToolVersion = "1.0.0";
-
-/// One wall-clock stage entry of the manifest (mirrors
-/// FlowResult::stage_timings without depending on the codesign layer).
-struct ManifestStage {
-  std::string name;
-  double seconds = 0.0;
-};
 
 /// One degradation entry (stage, machine-readable reason, free text).
 struct ManifestEvent {
@@ -81,7 +75,7 @@ struct RunManifest {
   std::vector<std::uint64_t> seeds;     // every seed the run consumed
   double wall_s = 0.0;                  // whole-process wall time
   int exit_code = 0;                    // the documented CLI exit code
-  std::vector<ManifestStage> stages;    // per-stage wall-clock breakdown
+  std::vector<StageTiming> stages;      // per-stage wall-clock breakdown
   std::vector<ManifestEvent> events;    // degrade events, execution order
   std::map<std::string, double> results;  // headline numeric results
   Json extra = Json();                  // subcommand-specific block (check)

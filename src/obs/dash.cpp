@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fp::obs {
 
@@ -33,7 +34,7 @@ bool is_timing_key(std::string_view name) {
 std::map<std::string, double> trend_quantities(const DashRun& run) {
   std::map<std::string, double> out;
   out["wall_s"] = run.manifest.wall_s;
-  for (const ManifestStage& stage : run.manifest.stages) {
+  for (const StageTiming& stage : run.manifest.stages) {
     out["stage." + stage.name] = stage.seconds;
   }
   for (const auto& [name, value] : run.manifest.results) {
@@ -92,33 +93,6 @@ constexpr std::string_view kPalette[] = {
     "#76b7b2", "#edc948", "#9c755f", "#e15759",
 };
 constexpr std::string_view kRegressionColor = "#d62728";
-
-void html_escape_into(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out += c;
-    }
-  }
-}
-
-std::string html_escape(std::string_view text) {
-  std::string out;
-  html_escape_into(out, text);
-  return out;
-}
 
 /// Display formatting for values: short, stable, locale-free.
 std::string fmt_value(double value) {
@@ -192,7 +166,7 @@ std::string chart_svg(const std::vector<ChartSeries>& series,
            "\" stroke=\"#e0e0e0\"/>\n";
     svg += "<text x=\"" + fmt_coord(kLeft - 6.0) + "\" y=\"" +
            fmt_coord(y + 3.5) + "\" text-anchor=\"end\" class=\"tick\">" +
-           html_escape(fmt_value(value)) + "</text>\n";
+           xml_escape(fmt_value(value)) + "</text>\n";
   }
   // X tick labels: run indices, thinned on long timelines.
   const std::size_t stride =
@@ -234,11 +208,10 @@ std::string chart_svg(const std::vector<ChartSeries>& series,
       svg += "\" fill=\"";
       svg += flagged ? kRegressionColor : color;
       svg += "\"><title>";
-      html_escape_into(svg, s.name);
+      xml_escape_into(svg, s.name);
       svg += " @ ";
-      html_escape_into(svg,
-                       index < labels.size() ? labels[index] : "run");
-      svg += ": " + html_escape(fmt_value(value));
+      xml_escape_into(svg, index < labels.size() ? labels[index] : "run");
+      svg += ": " + xml_escape(fmt_value(value));
       if (flagged) svg += " (slowdown gate breached)";
       svg += "</title></circle>\n";
     }
@@ -254,7 +227,7 @@ void render_panel(std::string& html, const std::string& title,
                   const std::vector<std::string>& labels,
                   const CompareOptions& gates) {
   html += "<section class=\"panel\">\n<h2>";
-  html_escape_into(html, title);
+  xml_escape_into(html, title);
   html += "</h2>\n";
   std::vector<ChartSeries> live;
   for (const ChartSeries& s : series) {
@@ -268,7 +241,7 @@ void render_panel(std::string& html, const std::string& title,
       html += "<span><i style=\"background:";
       html += kPalette[i % (sizeof(kPalette) / sizeof(kPalette[0]))];
       html += "\"></i>";
-      html_escape_into(html, live[i].name);
+      xml_escape_into(html, live[i].name);
       html += "</span>";
     }
     html += "</div>\n";
@@ -415,11 +388,11 @@ std::string Dashboard::to_html() const {
   std::string html;
   html += "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta "
           "charset=\"utf-8\">\n<title>";
-  html_escape_into(html, options.title);
+  xml_escape_into(html, options.title);
   html += "</title>\n<style>";
   html += kCss;
   html += "</style>\n</head>\n<body>\n<h1>";
-  html_escape_into(html, options.title);
+  xml_escape_into(html, options.title);
   html += "</h1>\n<p>" + std::to_string(n) +
           " run(s) scanned; trend order is the artifact path order.</p>\n";
 
@@ -427,21 +400,21 @@ std::string Dashboard::to_html() const {
   if (options.gates.max_slowdown > 0.0) {
     if (regressions.empty()) {
       html += "<div class=\"ok\">No timing regression at --max-slowdown " +
-              html_escape(fmt_value(options.gates.max_slowdown)) + ".</div>\n";
+              xml_escape(fmt_value(options.gates.max_slowdown)) + ".</div>\n";
     } else {
       html += "<div class=\"regressions\">\n<h2>" +
               std::to_string(regressions.size()) +
               " timing regression(s) at --max-slowdown " +
-              html_escape(fmt_value(options.gates.max_slowdown)) +
+              xml_escape(fmt_value(options.gates.max_slowdown)) +
               "</h2>\n<ul>\n";
       for (const DashRegression& r : regressions) {
         html += "<li><code>";
-        html_escape_into(html, r.quantity);
-        html += "</code>: " + html_escape(fmt_value(r.baseline)) + " (";
-        html_escape_into(html, r.from_run);
-        html += ") &rarr; " + html_escape(fmt_value(r.value)) + " (";
-        html_escape_into(html, r.to_run);
-        html += "), " + html_escape(fmt_value(r.value / r.baseline)) +
+        xml_escape_into(html, r.quantity);
+        html += "</code>: " + xml_escape(fmt_value(r.baseline)) + " (";
+        xml_escape_into(html, r.from_run);
+        html += ") &rarr; " + xml_escape(fmt_value(r.value)) + " (";
+        xml_escape_into(html, r.to_run);
+        html += "), " + xml_escape(fmt_value(r.value / r.baseline)) +
                 "x</li>\n";
       }
       html += "</ul>\n</div>\n";
@@ -547,12 +520,12 @@ std::string Dashboard::to_html() const {
       }
     }
     html += "<tr><td>" + std::to_string(i) + "</td><td class=\"name\">" +
-            html_escape(runs[i].label) + "</td><td class=\"name\">" +
-            html_escape(m.subcommand) + "</td><td>" +
+            xml_escape(runs[i].label) + "</td><td class=\"name\">" +
+            xml_escape(m.subcommand) + "</td><td>" +
             std::to_string(m.threads) + "</td><td>" +
-            html_escape(fmt_value(m.wall_s)) + "</td><td>" +
+            xml_escape(fmt_value(m.wall_s)) + "</td><td>" +
             std::to_string(m.exit_code) + "</td><td>" +
-            html_escape(cores) + "</td><td>" + html_escape(rss) +
+            xml_escape(cores) + "</td><td>" + xml_escape(rss) +
             "</td></tr>\n";
   }
   html += "</table>\n</section>\n</body>\n</html>\n";

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fp::obs {
 
@@ -240,27 +241,6 @@ std::string_view category_color(std::string_view category) {
     hash *= 1099511628211ull;
   }
   return kPalette[hash % (sizeof(kPalette) / sizeof(kPalette[0]))];
-}
-
-void xml_escape_into(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out += c;
-    }
-  }
 }
 
 }  // namespace

@@ -103,24 +103,30 @@ bool arm_progress_from_env() {
   return true;
 }
 
+std::string percent_line(std::string_view stage, double fraction,
+                         std::string_view counts, double elapsed_s) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "] %3.0f%% (", fraction * 100.0);
+  std::string line = "[";
+  line.append(stage).append(buf).append(counts).append(")");
+  if (fraction > 0.0 && fraction < 1.0 && elapsed_s > 0.0) {
+    std::snprintf(buf, sizeof(buf), " eta %.1fs",
+                  elapsed_s * (1.0 - fraction) / fraction);
+    line += buf;
+  }
+  return line;
+}
+
 std::string progress_line(std::string_view stage, long long done,
                           long long total, double elapsed_s) {
-  char buf[160];
   if (total > 0) {
     const long long clamped = done < 0 ? 0 : (done > total ? total : done);
-    const double fraction =
-        static_cast<double>(clamped) / static_cast<double>(total);
-    if (clamped > 0 && clamped < total && elapsed_s > 0.0) {
-      const double eta_s = elapsed_s * (1.0 - fraction) / fraction;
-      std::snprintf(buf, sizeof(buf), "[%.*s] %3.0f%% (%lld/%lld) eta %.1fs",
-                    static_cast<int>(stage.size()), stage.data(),
-                    fraction * 100.0, clamped, total, eta_s);
-    } else {
-      std::snprintf(buf, sizeof(buf), "[%.*s] %3.0f%% (%lld/%lld)",
-                    static_cast<int>(stage.size()), stage.data(),
-                    fraction * 100.0, clamped, total);
-    }
-  } else if (done > 0) {
+    return percent_line(
+        stage, static_cast<double>(clamped) / static_cast<double>(total),
+        std::to_string(clamped) + "/" + std::to_string(total), elapsed_s);
+  }
+  char buf[160];
+  if (done > 0) {
     std::snprintf(buf, sizeof(buf), "[%.*s] %lld units",
                   static_cast<int>(stage.size()), stage.data(), done);
   } else {

@@ -82,4 +82,13 @@ void progress_finish();
                                         long long done, long long total,
                                         double elapsed_s);
 
+/// The percent line every heartbeat with a known total renders:
+/// "[stage] pct (counts) eta Xs", the percent of `fraction` in [0, 1]
+/// and, while 0 < fraction < 1 and elapsed_s > 0, the linear ETA.
+/// progress_line and the farm's lines pass only their counts text. Pure.
+[[nodiscard]] std::string percent_line(std::string_view stage,
+                                       double fraction,
+                                       std::string_view counts,
+                                       double elapsed_s);
+
 }  // namespace fp::obs

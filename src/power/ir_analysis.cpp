@@ -1,6 +1,7 @@
 #include "power/ir_analysis.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "io/svg.h"
 #include "obs/trace.h"
@@ -23,20 +24,24 @@ IrReport ir_report(const PowerGrid& grid, const SolveResult& solved,
 
 IrReport analyze_ir(const Package& package,
                     const PackageAssignment& assignment,
-                    const PowerGridSpec& spec, const SolverOptions& options) {
+                    const PowerGridSpec& spec, const SolverOptions& options,
+                    Grid2D<double>* voltage) {
   PowerGrid grid(spec);
-  return analyze_ir(package, assignment, grid, options);
+  return analyze_ir(package, assignment, grid, options, voltage);
 }
 
 IrReport analyze_ir(const Package& package,
                     const PackageAssignment& assignment, PowerGrid& grid,
-                    const SolverOptions& options) {
+                    const SolverOptions& options, Grid2D<double>* voltage) {
   const obs::ScopedSpan span("power.analyze_ir", "power");
   const PadRing ring(package, grid.k());
   const std::vector<IPoint> nodes = ring.supply_nodes(assignment);
   require(!nodes.empty(), "analyze_ir: assignment has no supply pads");
   grid.set_pads(nodes);
-  return ir_report(grid, solve(grid, options), nodes.size());
+  SolveResult solved = solve(grid, options);
+  const IrReport report = ir_report(grid, solved, nodes.size());
+  if (voltage != nullptr) *voltage = std::move(solved.voltage);
+  return report;
 }
 
 std::vector<PadCriticality> pad_criticality(PowerGrid& grid,
@@ -66,24 +71,28 @@ std::vector<PadCriticality> pad_criticality(PowerGrid& grid,
   return ranking;
 }
 
-std::string ir_heatmap_svg(const PowerGrid& grid, const SolveResult& result,
+std::string ir_heatmap_svg(const PowerGrid& grid,
+                           const Grid2D<double>& voltage,
                            const std::string& title) {
   const int k = grid.k();
+  require(voltage.width() == static_cast<std::size_t>(k) &&
+              voltage.height() == static_cast<std::size_t>(k),
+          "ir_heatmap_svg: the field is not the grid's k x k mesh");
   const double edge = grid.spec().die_edge_um;
   const double cell = edge / k;
   SvgCanvas canvas(Rect{0.0, 0.0, edge, edge}, 640.0);
 
   const double vdd = grid.spec().vdd;
   double worst = 0.0;
-  for (const double v : result.voltage.data()) {
+  for (const double v : voltage.data()) {
     worst = std::max(worst, vdd - v);
   }
   const double scale = worst > 0.0 ? 1.0 / worst : 1.0;
   for (int y = 0; y < k; ++y) {
     for (int x = 0; x < k; ++x) {
       const double drop =
-          vdd - result.voltage(static_cast<std::size_t>(x),
-                               static_cast<std::size_t>(y));
+          vdd - voltage(static_cast<std::size_t>(x),
+                        static_cast<std::size_t>(y));
       canvas.cell({x * cell, y * cell}, cell, cell,
                   heat_color(drop * scale));
     }
@@ -100,9 +109,9 @@ std::string ir_heatmap_svg(const PowerGrid& grid, const SolveResult& result,
   return canvas.str();
 }
 
-void save_ir_heatmap_svg(const PowerGrid& grid, const SolveResult& result,
+void save_ir_heatmap_svg(const PowerGrid& grid, const Grid2D<double>& voltage,
                          const std::string& title, const std::string& path) {
-  write_file_atomic(path, ir_heatmap_svg(grid, result, title));
+  write_file_atomic(path, ir_heatmap_svg(grid, voltage, title));
 }
 
 }  // namespace fp

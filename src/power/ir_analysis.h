@@ -39,19 +39,22 @@ struct IrReport {
 
 /// Builds the mesh from `spec` (hotspots may be added via the overload
 /// taking a prepared grid), pins the assignment's supply pads to Vdd and
-/// solves. Throws InvalidArgument when the assignment carries no supply
-/// nets.
+/// solves. A non-null `voltage` receives the solved field, moved out of
+/// the solve. Throws InvalidArgument when the assignment carries no
+/// supply nets.
 [[nodiscard]] IrReport analyze_ir(const Package& package,
                                   const PackageAssignment& assignment,
                                   const PowerGridSpec& spec,
-                                  const SolverOptions& options = {});
+                                  const SolverOptions& options = {},
+                                  Grid2D<double>* voltage = nullptr);
 
 /// Same, but reuses a caller-prepared grid (e.g. with hotspots); only the
 /// pad set is replaced.
 [[nodiscard]] IrReport analyze_ir(const Package& package,
                                   const PackageAssignment& assignment,
                                   PowerGrid& grid,
-                                  const SolverOptions& options = {});
+                                  const SolverOptions& options = {},
+                                  Grid2D<double>* voltage = nullptr);
 
 /// Leave-one-out criticality of each pad of `grid`: how much the max
 /// IR-drop rises if that pad alone is removed. The ranking tells a
@@ -66,15 +69,15 @@ struct PadCriticality {
 [[nodiscard]] std::vector<PadCriticality> pad_criticality(
     PowerGrid& grid, const SolverOptions& options = {});
 
-/// SVG heat map of the solved voltage field (Fig. 6 style): blue = full
-/// Vdd, red = worst drop. Pads are drawn as black dots.
+/// SVG heat map of a solved voltage field of `grid` (Fig. 6 style): blue
+/// = full Vdd, red = worst drop. Pads are drawn as black dots.
 [[nodiscard]] std::string ir_heatmap_svg(const PowerGrid& grid,
-                                         const SolveResult& result,
+                                         const Grid2D<double>& voltage,
                                          const std::string& title);
 
 /// Renders and writes the heat map with write_file_atomic (never a torn
 /// file); throws IoError on failure.
-void save_ir_heatmap_svg(const PowerGrid& grid, const SolveResult& result,
+void save_ir_heatmap_svg(const PowerGrid& grid, const Grid2D<double>& voltage,
                          const std::string& title, const std::string& path);
 
 }  // namespace fp

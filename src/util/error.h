@@ -8,8 +8,8 @@
 // Every Error carries a stable machine-readable code (ErrorCode) and an
 // optional context chain ("flow.analyze_initial", "site=solver.step")
 // appended as the exception unwinds, so a production log line identifies
-// the failing stage without a debugger. The CLI maps codes onto the exit
-// contract documented in docs/ROBUSTNESS.md.
+// the failing stage without a debugger. exit_code_for maps codes onto the
+// exit contract documented in docs/ROBUSTNESS.md.
 #pragma once
 
 #include <stdexcept>
@@ -55,6 +55,26 @@ enum class ErrorCode {
       return "FP-PROTO";
   }
   return "FP-UNKNOWN";
+}
+
+/// The documented exit code of an error that ends a command
+/// (docs/ROBUSTNESS.md): bad input is the caller's fault (2), everything
+/// else is internal (4).
+[[nodiscard]] constexpr int exit_code_for(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::InvalidInput:
+    case ErrorCode::Io:
+    case ErrorCode::Protocol:
+      return 2;
+    case ErrorCode::Internal:
+    case ErrorCode::Check:
+    case ErrorCode::Solver:
+    case ErrorCode::FaultInjected:
+    case ErrorCode::Crash:
+    case ErrorCode::Timeout:
+      return 4;
+  }
+  return 4;
 }
 
 /// Base class of every exception fpkit throws deliberately.

@@ -102,4 +102,31 @@ std::string format_percent(double ratio) {
   return format_fixed(ratio * 100.0, 1) + "%";
 }
 
+void xml_escape_into(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '&':
+        out += "&amp;";
+        break;
+      case '<':
+        out += "&lt;";
+        break;
+      case '>':
+        out += "&gt;";
+        break;
+      case '"':
+        out += "&quot;";
+        break;
+      default:
+        out += c;
+    }
+  }
+}
+
+std::string xml_escape(std::string_view text) {
+  std::string out;
+  xml_escape_into(out, text);
+  return out;
+}
+
 }  // namespace fp

@@ -45,4 +45,11 @@ struct WsToken {
 /// "12.3%", one decimal, from a ratio in [0, 1+].
 [[nodiscard]] std::string format_percent(double ratio);
 
+/// Appends `text` with &, <, > and " written as entities, so it can sit
+/// in XML/HTML/SVG text or a double-quoted attribute.
+void xml_escape_into(std::string& out, std::string_view text);
+
+/// xml_escape_into a fresh string.
+[[nodiscard]] std::string xml_escape(std::string_view text);
+
 }  // namespace fp

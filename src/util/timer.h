@@ -1,9 +1,18 @@
-// Wall-clock stopwatch used by benches and the codesign flow report.
+// Wall-clock stopwatch used by benches and the codesign flow report,
+// and the stage record both of them report.
 #pragma once
 
 #include <chrono>
+#include <string>
 
 namespace fp {
+
+/// Wall-clock time of one named stage: a flow stage
+/// (FlowResult::stage_timings) or a manifest entry (obs::RunManifest).
+struct StageTiming {
+  std::string name;
+  double seconds = 0.0;
+};
 
 class Timer {
  public:

@@ -178,6 +178,53 @@ TEST(CliFlags, DuplicateBatchSeedsExitTwo) {
   EXPECT_EQ(run_fpkit("batch " + circuit + " --seeds 1,1 --mesh 12"), 2);
 }
 
+TEST(CliFlags, IrAndSpiceAreRunOutputs) {
+  // `run --heatmap` and `run --spice` replaced the two subcommands, which
+  // now print the usage like any unknown command.
+  ASSERT_FALSE(std::string(FPKIT_CLI_PATH).empty());
+  const std::string circuit = cli_circuit("cli_gone");
+  const std::string err = ::testing::TempDir() + "cli_gone.err";
+  for (const std::string command : {"ir", "spice"}) {
+    EXPECT_EQ(run_fpkit(command + " " + circuit + " --mesh 12", err), 2);
+    std::ifstream in(err);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("usage: fpkit"), std::string::npos) << text;
+  }
+}
+
+TEST(CliFlags, HeatmapDrawsTheRunsFinalField) {
+  // The heat map draws the final analysis's own field, so a run that
+  // writes one still solves twice, once per analysis.
+  ASSERT_FALSE(std::string(FPKIT_CLI_PATH).empty());
+  const std::string circuit = cli_circuit("cli_heatmap");
+  const std::string prefix = ::testing::TempDir() + "cli_heatmap";
+  std::filesystem::remove(prefix + ".svg");
+  ASSERT_EQ(run_fpkit("run " + circuit + " --mesh 64 --heatmap " + prefix +
+                      ".svg --metrics " + prefix + ".json"),
+            0);
+  EXPECT_TRUE(std::filesystem::exists(prefix + ".svg"));
+  const obs::Json metrics = obs::json_load(prefix + ".json");
+  EXPECT_EQ(metrics.at("counters").at("solver.solves").as_number(), 2.0);
+}
+
+TEST(CliFlags, DegradedSpiceRunRecordsTheFlow) {
+  // `run --spice` is a flow run: a degraded one exits 3 and its manifest
+  // holds the stages, results and degrade events.
+  ASSERT_FALSE(std::string(FPKIT_CLI_PATH).empty());
+  const std::string circuit = cli_circuit("cli_spice_degraded");
+  const std::string prefix = ::testing::TempDir() + "cli_spice_degraded";
+  EXPECT_EQ(run_fpkit("run " + circuit + " --mesh 12 --budget 1e-9 --spice " +
+                      prefix + ".sp --artifact-dir " + prefix),
+            3);
+  EXPECT_TRUE(std::filesystem::exists(prefix + ".sp"));
+  const obs::RunManifest manifest = obs::load_run_artifact(prefix).manifest;
+  EXPECT_EQ(manifest.exit_code, 3);
+  EXPECT_FALSE(manifest.stages.empty());
+  EXPECT_FALSE(manifest.results.empty());
+  EXPECT_FALSE(manifest.events.empty());
+}
+
 TEST(CliFlags, RouteAndCheckPlanWithoutSolving) {
   // Without --assignment, route and check run the assignment step alone:
   // they print what they print for the stored assignment of `run

@@ -185,8 +185,8 @@ void write_synthetic_artifact(const std::string& dir, double wall_s,
   manifest.version = std::string(obs::kToolVersion);
   manifest.threads = 1;
   manifest.wall_s = wall_s;
-  manifest.stages.push_back(obs::ManifestStage{"assign", 0.010});
-  manifest.stages.push_back(obs::ManifestStage{"exchange", exchange_s});
+  manifest.stages.push_back(StageTiming{"assign", 0.010});
+  manifest.stages.push_back(StageTiming{"exchange", exchange_s});
   manifest.results["sa_final_cost"] = cost;
   manifest.results["sa_best_cost"] = cost - 1.0;
   manifest.results["ir_drop_final_v"] = 0.045;
@@ -301,6 +301,19 @@ TEST(ProgressTest, LineFormatting) {
   // done is clamped into [0, total].
   EXPECT_EQ(obs::progress_line("sa", 150, 100, 2.0),
             "[sa] 100% (100/100)");
+}
+
+TEST(ProgressTest, PercentLineTakesTheCountsText) {
+  // The farm supervisor's and `dash --follow`'s lines.
+  EXPECT_EQ(obs::percent_line("farm", 0.5, "1/2 jobs, 1 running", 2.0),
+            "[farm]  50% (1/2 jobs, 1 running) eta 2.0s");
+  EXPECT_EQ(obs::percent_line("farm", 1.0, "2/2 jobs, 0 running", 2.0),
+            "[farm] 100% (2/2 jobs, 0 running)");
+  EXPECT_EQ(obs::percent_line("farm", 0.0, "0/0 jobs, 0 running, 0 failed",
+                              2.0),
+            "[farm]   0% (0/0 jobs, 0 running, 0 failed)");
+  EXPECT_EQ(obs::percent_line("farm", 0.25, "1/4 jobs", 0.0),
+            "[farm]  25% (1/4 jobs)");
 }
 
 TEST(ProgressTest, DisabledPathIsBitIdentical) {

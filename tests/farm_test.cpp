@@ -349,42 +349,65 @@ double result_value(const Json& manifest, const std::string& key) {
 TEST(FarmEndToEndTest, FarmTreeMatchesSingleProcessBatch) {
   const std::string dir = scratch_dir();
   write_fixture(dir);
-  const CliResult batch = run_cli(
-      dir, "batch",
-      {"batch", dir + "/circuit.fp", "--jobs-file", dir + "/jobs.txt",
-       "--artifact-dir", dir + "/batch"});
-  ASSERT_TRUE(batch.status.exited) << batch.err;
-  ASSERT_EQ(batch.status.code, 0) << batch.err;
-  const CliResult farm = run_cli(
-      dir, "farm",
-      {"farm", dir + "/circuit.fp", "--jobs-file", dir + "/jobs.txt",
-       "--out", dir + "/farm", "--workers", "2"});
-  ASSERT_TRUE(farm.status.exited) << farm.err;
-  ASSERT_EQ(farm.status.code, 0) << farm.err;
+  // A plain run, then one whose budget degrades every job: batch and farm
+  // record the outcome alike (exit code, jobs_degraded, job exit codes).
+  struct Case {
+    std::string name;
+    std::vector<std::string> flags;
+    int exit_code;
+    double jobs_degraded;
+  };
+  for (const Case& c : {Case{"plain", {}, 0, 0.0},
+                        Case{"budget", {"--budget", "1e-9"}, 3, 3.0}}) {
+    SCOPED_TRACE(c.name);
+    const std::string batch_dir = dir + "/" + c.name + "_batch";
+    const std::string farm_dir = dir + "/" + c.name + "_farm";
+    std::vector<std::string> batch_argv = {
+        "batch", dir + "/circuit.fp", "--jobs-file", dir + "/jobs.txt",
+        "--artifact-dir", batch_dir};
+    std::vector<std::string> farm_argv = {
+        "farm", dir + "/circuit.fp", "--jobs-file", dir + "/jobs.txt",
+        "--out", farm_dir, "--workers", "2"};
+    batch_argv.insert(batch_argv.end(), c.flags.begin(), c.flags.end());
+    farm_argv.insert(farm_argv.end(), c.flags.begin(), c.flags.end());
+    const CliResult batch = run_cli(dir, c.name + "_batch", batch_argv);
+    ASSERT_TRUE(batch.status.exited) << batch.err;
+    ASSERT_EQ(batch.status.code, c.exit_code) << batch.err;
+    const CliResult farm = run_cli(dir, c.name + "_farm", farm_argv);
+    ASSERT_TRUE(farm.status.exited) << farm.err;
+    ASSERT_EQ(farm.status.code, c.exit_code) << farm.err;
 
-  // Batch-compatible tree: top manifest plus one manifest per job.
-  const Json manifest = load_manifest(dir + "/farm");
-  EXPECT_EQ(manifest.at("subcommand").as_string(), "farm");
-  EXPECT_EQ(result_value(manifest, "jobs"), 3.0);
-  EXPECT_EQ(result_value(manifest, "jobs_failed"), 0.0);
-  EXPECT_EQ(result_value(manifest, "farm_retries"), 0.0);
-  EXPECT_EQ(result_value(manifest, "farm_crashes"), 0.0);
-  for (int i = 0; i < 3; ++i) {
-    const Json job = load_manifest(dir + "/farm/jobs/job" + std::to_string(i));
-    EXPECT_EQ(job.at("subcommand").as_string(), "batch-job");
+    // Batch-compatible tree: top manifest plus one manifest per job.
+    const Json manifest = load_manifest(farm_dir);
+    EXPECT_EQ(manifest.at("subcommand").as_string(), "farm");
+    EXPECT_EQ(result_value(manifest, "jobs"), 3.0);
+    EXPECT_EQ(result_value(manifest, "jobs_failed"), 0.0);
+    EXPECT_EQ(result_value(manifest, "farm_retries"), 0.0);
+    EXPECT_EQ(result_value(manifest, "farm_crashes"), 0.0);
+    EXPECT_EQ(result_value(manifest, "jobs_degraded"), c.jobs_degraded);
+    EXPECT_EQ(result_value(load_manifest(batch_dir), "jobs_degraded"),
+              c.jobs_degraded);
+    for (int i = 0; i < 3; ++i) {
+      for (const std::string& tree : {farm_dir, batch_dir}) {
+        const Json job =
+            load_manifest(tree + "/jobs/job" + std::to_string(i));
+        EXPECT_EQ(job.at("subcommand").as_string(), "batch-job");
+        EXPECT_EQ(job.at("exit_code").as_number(), c.exit_code) << tree;
+      }
+    }
+    EXPECT_TRUE(fs::exists(farm_dir + "/journal.jsonl"));
+    EXPECT_FALSE(fs::exists(farm_dir + "/farm.lock"))
+        << "clean completion must release the lock";
+
+    // The compare gate CI uses: equal per-job costs, one-sided farm_*
+    // extras are informational, exit 0.
+    const CliResult compare =
+        run_cli(dir, c.name + "_compare",
+                {"compare", farm_dir, batch_dir, "--require-equal-cost"});
+    ASSERT_TRUE(compare.status.exited);
+    EXPECT_EQ(compare.status.code, 0)
+        << compare.out << "\n" << compare.err;
   }
-  EXPECT_TRUE(fs::exists(dir + "/farm/journal.jsonl"));
-  EXPECT_FALSE(fs::exists(dir + "/farm/farm.lock"))
-      << "clean completion must release the lock";
-
-  // The compare gate CI uses: equal per-job costs, one-sided farm_*
-  // extras are informational, exit 0.
-  const CliResult compare = run_cli(
-      dir, "compare",
-      {"compare", dir + "/farm", dir + "/batch", "--require-equal-cost"});
-  ASSERT_TRUE(compare.status.exited);
-  EXPECT_EQ(compare.status.code, 0)
-      << compare.out << "\n" << compare.err;
 }
 
 TEST(FarmEndToEndTest, TracedFarmMergesTimelinesAndRollsUpMetrics) {

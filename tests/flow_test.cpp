@@ -3,12 +3,15 @@
 // claims hold on our substrate.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <fstream>
 
 #include "codesign/flow.h"
 #include "exec/exec.h"
 #include "package/circuit_generator.h"
+#include "power/pad_ring.h"
 #include "route/legality.h"
+#include "util/signal.h"
 
 namespace fp {
 namespace {
@@ -52,6 +55,51 @@ TEST(Flow, EndToEnd2D) {
   EXPECT_LT(result.ir_final.max_drop_v, result.ir_initial.max_drop_v);
   EXPECT_GT(result.ir_improvement_percent(), 0.0);
   EXPECT_GE(result.runtime_s, 0.0);
+}
+
+TEST(Flow, KeepsTheFinalSolvesField) {
+  // The field the final analysis solved, kept instead of freed: the bits
+  // a fresh solve of the final assignment gives, and the drop ir_final
+  // reports. No field without supply nets; a batch releases it.
+  const Package package = make_package(0);
+  const FlowOptions options = light_flow(AssignmentMethod::Dfa);
+  const FlowResult result = CodesignFlow(options).run(package);
+  PowerGrid grid(options.grid_spec);
+  grid.set_pads(PadRing(package, grid.k()).supply_nodes(result.final));
+  const SolveResult fresh = solve(grid);
+  EXPECT_EQ(result.final_voltage.data(), fresh.voltage.data());
+  EXPECT_EQ(result.ir_final.max_drop_v, max_ir_drop(grid, fresh));
+
+  CircuitSpec spec = CircuitGenerator::table1(0);
+  spec.supply_fraction = 0.0;
+  FlowOptions no_exchange = options;
+  no_exchange.run_exchange = false;
+  EXPECT_TRUE(CodesignFlow(no_exchange)
+                  .run(CircuitGenerator::generate(spec))
+                  .final_voltage.empty());
+
+  const BatchResult batch = run_flow_batch(package, {{"job", options}});
+  ASSERT_TRUE(batch.jobs[0].ok) << batch.jobs[0].error;
+  EXPECT_TRUE(batch.jobs[0].result.final_voltage.empty());
+}
+
+TEST(Flow, ExitCodeIsOkDegradedOrInterrupted) {
+  const Package package = make_package(0);
+  FlowOptions options = light_flow(AssignmentMethod::Dfa);
+  EXPECT_EQ(CodesignFlow(options).run(package).exit_code(), 0);
+
+  FlowOptions budgeted = options;
+  budgeted.budget.total_s = 1e-9;
+  EXPECT_EQ(CodesignFlow(budgeted).run(package).exit_code(), 3);
+
+  // An interrupt outranks the degradations it causes.
+  options.interruptible = true;
+  sig::reset();
+  sig::request_cancel(SIGINT);
+  const FlowResult interrupted = CodesignFlow(options).run(package);
+  sig::reset();
+  EXPECT_GT(interrupted.degrade_events.size(), 1u);
+  EXPECT_EQ(interrupted.exit_code(), 5);
 }
 
 TEST(Flow, EndToEndStacking) {
@@ -242,6 +290,7 @@ TEST(FlowParallel, BatchMatchesIndividualRuns) {
   exec::set_default_threads(saved_threads);
   ASSERT_EQ(batch.jobs.size(), jobs.size());
   EXPECT_EQ(batch.failed_count(), 0);
+  EXPECT_EQ(batch.degraded_count(), 0);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(batch.jobs[i].ok) << batch.jobs[i].error;
     EXPECT_EQ(batch.jobs[i].label, jobs[i].label);  // input-job order kept

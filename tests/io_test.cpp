@@ -199,6 +199,17 @@ TEST(Svg, ElementsAppear) {
   EXPECT_NE(svg.find("<polyline"), std::string::npos);
 }
 
+TEST(Svg, TextIsEscaped) {
+  // Text is user input (a circuit name titles the heat map): its `<&"`
+  // must come out as entities, or no XML parser reads the SVG.
+  SvgCanvas canvas(Rect{0.0, 0.0, 1.0, 1.0}, 100.0);
+  canvas.text({0.1, 0.9}, "a<b&c\"d");
+  const std::string svg = canvas.str();
+  EXPECT_NE(svg.find(">a&lt;b&amp;c&quot;d</text>"), std::string::npos)
+      << svg;
+  EXPECT_EQ(svg.find("a<b"), std::string::npos) << svg;
+}
+
 TEST(Svg, SaveWritesWholeFile) {
   SvgCanvas canvas(Rect{0.0, 0.0, 1.0, 1.0}, 100.0);
   canvas.circle({0.5, 0.5}, 2.0, "blue");

@@ -214,7 +214,7 @@ TEST(Heatmap, ProducesSvg) {
   PowerGrid grid(spec);
   grid.set_pads({{0, 0}, {7, 7}});
   const SolveResult result = solve(grid);
-  const std::string svg = ir_heatmap_svg(grid, result, "test map");
+  const std::string svg = ir_heatmap_svg(grid, result.voltage, "test map");
   EXPECT_NE(svg.find("<svg"), std::string::npos);
   EXPECT_NE(svg.find("test map"), std::string::npos);
 }

@@ -72,6 +72,34 @@ TEST(Report, BadPathThrows) {
                IoError);
 }
 
+TEST(JobManifest, RecordsTheFlowsExitCode) {
+  // One builder for every batch and farm job manifest. An interrupted
+  // job records 5, where a degraded one records 3.
+  FlowResult result;
+  result.degraded = true;
+  result.degrade_events.push_back(
+      DegradeEvent{"exchange", DegradeReason::BudgetExpired, ""});
+  const obs::RunManifest degraded =
+      job_manifest("alpha", FlowOptions{}, result);
+  EXPECT_EQ(degraded.subcommand, "batch-job");
+  EXPECT_EQ(degraded.version, obs::kToolVersion);
+  EXPECT_EQ(degraded.extra.at("label").as_string(), "alpha");
+  EXPECT_EQ(degraded.events.size(), 1u);
+  EXPECT_EQ(degraded.results.at("degraded"), 1.0);
+  EXPECT_EQ(degraded.exit_code, 3);
+
+  result.degrade_events.push_back(
+      DegradeEvent{"flow", DegradeReason::Interrupted, ""});
+  EXPECT_EQ(job_manifest("alpha", FlowOptions{}, result).exit_code, 5);
+
+  const obs::RunManifest failed = job_manifest("beta", "[FP-IO] gone", 2);
+  EXPECT_EQ(failed.subcommand, "batch-job");
+  EXPECT_EQ(failed.extra.at("label").as_string(), "beta");
+  EXPECT_EQ(failed.extra.at("error").as_string(), "[FP-IO] gone");
+  EXPECT_TRUE(failed.results.empty());
+  EXPECT_EQ(failed.exit_code, 2);
+}
+
 TEST(PackageRender, DrawsAllQuadrants) {
   const Package package =
       CircuitGenerator::generate(CircuitGenerator::table1(0));

@@ -124,30 +124,20 @@ FlowOptions flow_options(const ArgParser& args) {
   return options;
 }
 
-/// True when the run was cut short by SIGINT/SIGTERM (the graceful-drain
-/// degrade event CodesignFlow::run appends).
-bool flow_interrupted(const FlowResult& result) {
-  return std::any_of(result.degrade_events.begin(),
-                     result.degrade_events.end(),
-                     [](const DegradeEvent& event) {
-                       return event.reason == DegradeReason::Interrupted;
-                     });
-}
-
-/// 0 ok / 3 degraded / 5 interrupted, plus a stderr note so scripted
-/// callers notice.
+/// The run's exit code (FlowResult::exit_code), plus a stderr note so
+/// scripted callers notice a degraded or interrupted run.
 int flow_exit(const FlowResult& result) {
-  if (!result.degraded) return 0;
-  if (flow_interrupted(result)) {
+  const int code = result.exit_code();
+  if (code == 5) {
     std::fprintf(stderr,
                  "fpkit: interrupted; best-so-far results kept "
                  "(exit code 5)\n");
-    return 5;
+  } else if (code == 3) {
+    std::fprintf(stderr,
+                 "fpkit: degraded result (%zu event(s); exit code 3)\n",
+                 result.degrade_events.size());
   }
-  std::fprintf(stderr,
-               "fpkit: degraded result (%zu event(s); exit code 3)\n",
-               result.degrade_events.size());
-  return 3;
+  return code;
 }
 
 int cmd_generate(const ArgParser& args) {
@@ -231,6 +221,29 @@ int cmd_run(const ArgParser& args) {
     save_flow_report(package, options, result, report);
     std::printf("wrote %s\n", report.c_str());
   }
+  // The deck and the heat map show the final assignment's mesh; the map
+  // draws the field the run's final analysis solved.
+  const std::string spice = args.get_string("spice", "");
+  const std::string heatmap = args.get_string("heatmap", "");
+  if (!spice.empty() || !heatmap.empty()) {
+    PowerGrid grid(options.grid_spec);
+    grid.set_pads(PadRing(package, grid.k()).supply_nodes(result.final));
+    if (!spice.empty()) {
+      save_spice_deck(grid, spice, "fpkit " + package.name() + " power mesh");
+      std::printf("wrote %s (%d x %d mesh, %zu pads)\n", spice.c_str(),
+                  grid.k(), grid.k(), grid.pads().size());
+    }
+    if (!heatmap.empty()) {
+      require(!result.final_voltage.empty(),
+              "run --heatmap: no IR-drop field to draw: " +
+                  std::string(package.netlist().supply_nets().empty()
+                                  ? "the circuit has no supply nets"
+                                  : "the final IR analysis failed"));
+      save_ir_heatmap_svg(grid, result.final_voltage, package.name(),
+                          heatmap);
+      std::printf("wrote %s\n", heatmap.c_str());
+    }
+  }
   return flow_exit(result);
 }
 
@@ -261,43 +274,6 @@ int cmd_route(const ArgParser& args) {
     }
   }
   return 0;
-}
-
-int cmd_spice(const ArgParser& args) {
-  const Package package = load_input(args);
-  const FlowOptions options = flow_options(args);
-  const FlowResult result = CodesignFlow(options).run(package);
-  PowerGrid grid(options.grid_spec);
-  const PadRing ring(package, grid.k());
-  grid.set_pads(ring.supply_nodes(result.final));
-  const std::string out = args.get_string("out", "power_mesh.sp");
-  save_spice_deck(grid, out, "fpkit " + package.name() + " power mesh");
-  std::printf("wrote %s (%d x %d mesh, %zu pads)\n", out.c_str(), grid.k(),
-              grid.k(), grid.pads().size());
-  return 0;
-}
-
-int cmd_ir(const ArgParser& args) {
-  const Package package = load_input(args);
-  const FlowOptions options = flow_options(args);
-  const FlowResult result = CodesignFlow(options).run(package);
-  if (g_artifact.active()) {
-    fill_run_manifest(g_artifact.manifest, options, result);
-  }
-  std::printf("max IR-drop: %.2f mV (before exchange %.2f mV, %.2f%% "
-              "improvement)\n",
-              result.ir_final.max_drop_v * 1e3,
-              result.ir_initial.max_drop_v * 1e3,
-              result.ir_improvement_percent());
-  const std::string heatmap = args.get_string("heatmap", "");
-  if (!heatmap.empty()) {
-    PowerGrid grid(options.grid_spec);
-    const PadRing ring(package, grid.k());
-    grid.set_pads(ring.supply_nodes(result.final));
-    save_ir_heatmap_svg(grid, solve(grid), package.name(), heatmap);
-    std::printf("wrote %s\n", heatmap.c_str());
-  }
-  return flow_exit(result);
 }
 
 /// Renders a rule's declared input set ("geometry+drc") for --list-rules.
@@ -565,33 +541,15 @@ int cmd_batch(const ArgParser& args) {
     jobs = parse_batch_jobs(in, base, "--methods/--seeds");
   }
 
-  // run_flow_batch consumes the job list; keep the per-job options when
-  // the flight recorder needs them for the per-job manifests below.
-  std::vector<FlowOptions> job_options;
-  if (g_artifact.active()) {
-    job_options.reserve(jobs.size());
-    for (const BatchJob& job : jobs) job_options.push_back(job.options);
-  }
-
-  const BatchResult batch = run_flow_batch(package, std::move(jobs));
+  const BatchResult batch = run_flow_batch(package, jobs);
   if (g_artifact.active()) {
     fill_batch_manifest(g_artifact.manifest, base, batch);
     for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
       const BatchJobResult& job = batch.jobs[i];
-      obs::RunManifest manifest;
-      manifest.subcommand = "batch-job";
-      obs::Json extra = obs::Json::object();
-      extra.set("label", obs::Json::string(job.label));
-      if (job.ok) {
-        fill_run_manifest(manifest, job_options[i], job.result);
-        manifest.exit_code = job.result.degraded ? 3 : 0;
-      } else {
-        extra.set("error", obs::Json::string(job.error));
-        manifest.exit_code = 4;
-      }
-      manifest.extra = std::move(extra);
-      g_artifact.jobs.emplace_back("jobs/job" + std::to_string(i),
-                                   std::move(manifest));
+      g_artifact.jobs.emplace_back(
+          "jobs/job" + std::to_string(i),
+          job.ok ? job_manifest(job.label, jobs[i].options, job.result)
+                 : job_manifest(job.label, job.error, 4));
     }
   }
   std::printf("batch: %zu job(s) on %d thread(s), %.3f s\n",
@@ -624,7 +582,7 @@ int cmd_batch(const ArgParser& args) {
                  batch.failed_count());
     return 4;
   }
-  if (batch.any_degraded()) {
+  if (batch.degraded_count() > 0) {
     std::fprintf(stderr, "fpkit: degraded batch result (exit code 3)\n");
     return 3;
   }
@@ -863,26 +821,18 @@ int dash_follow(const ArgParser& args, const std::string& dir) {
         st.last_event_t > st.first_event_t && st.first_event_t > 0.0
             ? st.last_event_t - st.first_event_t
             : 0.0;
-    char line[200];
-    const double pct =
-        total > 0 ? 100.0 * static_cast<double>(terminal) /
-                        static_cast<double>(total)
-                  : 0.0;
-    if (!finished && terminal > 0 && terminal < total && elapsed > 0.0) {
-      const double eta = elapsed *
-                         static_cast<double>(total - terminal) /
-                         static_cast<double>(terminal);
-      std::snprintf(line, sizeof line,
-                    "[farm] %3.0f%% (%zu/%zu jobs, %zu running, %zu "
-                    "failed) eta %.1fs",
-                    pct, terminal, total, running, failed, eta);
-    } else {
-      std::snprintf(line, sizeof line,
-                    "[farm] %3.0f%% (%zu/%zu jobs, %zu running, %zu "
-                    "failed)",
-                    pct, terminal, total, running, failed);
-    }
-    obs::progress_render(line, /*final=*/finished);
+    char counts[128];
+    std::snprintf(counts, sizeof counts,
+                  "%zu/%zu jobs, %zu running, %zu failed", terminal, total,
+                  running, failed);
+    const double fraction = total > 0 ? static_cast<double>(terminal) /
+                                            static_cast<double>(total)
+                                      : 0.0;
+    // A finished farm shows no ETA.
+    obs::progress_render(
+        obs::percent_line("farm", fraction, counts,
+                          finished ? 0.0 : elapsed),
+        /*final=*/finished);
     if (finished) {
       obs::progress_finish();
       std::printf("farm %s: %zu/%zu job(s) done, %zu failed%s\n",
@@ -1010,17 +960,13 @@ constexpr Flag kInfoFlags[] = {
 constexpr Flag kRunFlags[] = {
     {"out-assignment", "<a.fpa>", "write the final assignment"},
     {"report", "<r.md>", "write a markdown flow report"},
+    {"heatmap", "<f.svg>", "IR-drop heat map of the final assignment"},
+    {"spice", "<deck.sp>", "SPICE deck of the final power mesh"},
 };
 constexpr Flag kRouteFlags[] = {
     {"assignment", "<a.fpa>", "route a stored assignment instead"},
     {"package-svg", "<f.svg>", "whole-package route drawing"},
     {"svg-prefix", "<p>", "one <p>_<quadrant>.svg per quadrant"},
-};
-constexpr Flag kIrFlags[] = {
-    {"heatmap", "<f.svg>", "IR-drop heat map of the final assignment"},
-};
-constexpr Flag kSpiceFlags[] = {
-    {"out", "<deck.sp>", "output deck (default power_mesh.sp)"},
 };
 constexpr Flag kCheckFlags[] = {
     {"assignment", "<a.fpa>", "check a stored assignment"},
@@ -1104,10 +1050,6 @@ constexpr Command kCommands[] = {
      .run = cmd_run, .flags = kRunFlags, .flow = true, .drains = true},
     {.name = "route", .synopsis = "<circuit.fp>  route an assignment",
      .run = cmd_route, .flags = kRouteFlags, .flow = true},
-    {.name = "ir", .synopsis = "<circuit.fp>  flow, then its max IR-drop",
-     .run = cmd_ir, .flags = kIrFlags, .flow = true, .drains = true},
-    {.name = "spice", .synopsis = "<circuit.fp>  SPICE deck of the power mesh",
-     .run = cmd_spice, .flags = kSpiceFlags, .flow = true},
     {.name = "check",
      .synopsis = "<circuit.fp>  design-rule analyzer (docs/CHECKS.md)",
      .run = cmd_check, .flags = kCheckFlags, .flow = true},
@@ -1260,34 +1202,14 @@ void save_artifact(const std::string& command, int exit_code,
   manifest.exit_code = exit_code;
   obs::capture_environment(manifest);
   obs::write_run_artifact(g_artifact.dir, manifest);
-  for (auto& [subdir, job_manifest] : g_artifact.jobs) {
-    job_manifest.version = manifest.version;
-    job_manifest.threads = manifest.threads;
-    obs::write_run_artifact(g_artifact.dir + "/" + subdir, job_manifest,
+  for (auto& [subdir, job] : g_artifact.jobs) {
+    job.threads = manifest.threads;
+    obs::write_run_artifact(g_artifact.dir + "/" + subdir, job,
                             /*include_metrics=*/false,
                             /*include_trace=*/false);
   }
   std::printf("wrote artifact %s (%zu job artifact(s))\n",
               g_artifact.dir.c_str(), g_artifact.jobs.size());
-}
-
-/// The documented exit-code contract: bad input is the caller's fault
-/// (2), everything else that escapes as an exception is internal (4).
-int exit_code_for(const fp::Error& error) {
-  switch (error.code()) {
-    case ErrorCode::InvalidInput:
-    case ErrorCode::Io:
-    case ErrorCode::Protocol:
-      return 2;
-    case ErrorCode::Internal:
-    case ErrorCode::Check:
-    case ErrorCode::Solver:
-    case ErrorCode::FaultInjected:
-    case ErrorCode::Crash:
-    case ErrorCode::Timeout:
-      return 4;
-  }
-  return 4;
 }
 
 }  // namespace
@@ -1340,13 +1262,14 @@ int main(int argc, char** argv) {
   } catch (const fp::Error& e) {
     std::fprintf(stderr, "fpkit %s: %s\n", name.c_str(),
                  e.describe().c_str());
+    const int code = fp::exit_code_for(e.code());
     try {
       save_observability(obs_paths);
-      save_artifact(name, exit_code_for(e), wall.seconds());
+      save_artifact(name, code, wall.seconds());
     } catch (const fp::Error& save_error) {
       std::fprintf(stderr, "fpkit %s: %s\n", name.c_str(),
                    save_error.what());
     }
-    return exit_code_for(e);
+    return code;
   }
 }
