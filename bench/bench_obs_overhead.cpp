@@ -1,7 +1,8 @@
 // Observability overhead: the same codesign flow with the recorders off
 // (the disabled path: one relaxed atomic load per instrumentation site)
-// and with the farm-worker configuration on (tracing + metrics + silent
-// progress capture, as FPKIT_TRACE_DIR/FPKIT_PROGRESS_CAPTURE arm them).
+// and with the farm-worker configuration on (tracing + metrics + the
+// progress heartbeat file, as FPKIT_TRACE_DIR and a worker's
+// --heartbeat-file arm them; the file goes into the --out directory).
 //
 // The contract under test is twofold: tracing must not perturb numeric
 // results (asserted bit-for-bit on the final scores), and the recording
@@ -51,7 +52,8 @@ FlowOptions flow_options() {
 ModeResult run_mode(const Package& package, int reps, bool observed) {
   obs::set_tracing_enabled(observed);
   obs::set_metrics_enabled(observed);
-  obs::set_progress_capture(observed);
+  obs::set_progress_heartbeat(
+      observed ? bench::artefact_path("obs_overhead.hb") : "");
   const CodesignFlow flow(flow_options());
   ModeResult mode;
   for (int rep = 0; rep < reps; ++rep) {
@@ -71,7 +73,7 @@ ModeResult run_mode(const Package& package, int reps, bool observed) {
   mode.spans = obs::trace_spans().size();
   obs::set_tracing_enabled(false);
   obs::set_metrics_enabled(false);
-  obs::set_progress_capture(false);
+  obs::set_progress_heartbeat("");
   return mode;
 }
 

@@ -321,14 +321,19 @@ BatchResult run_flow_batch(const Package& package,
     // library batches are unaffected.
     if (sig::interrupted()) {
       out.error = "skipped: batch interrupted before this job started";
+      out.exit_code = 4;
       return;
     }
     try {
       out.result = CodesignFlow(jobs[i].options).run(package);
       out.result.final_voltage = {};  // k² doubles the batch never draws
       out.ok = true;
+    } catch (const Error& error) {
+      out.error = error.describe();
+      out.exit_code = exit_code_for(error.code());
     } catch (const std::exception& error) {
-      out.error = error.what();
+      out.error = "[FP-INTERNAL] " + std::string(error.what());
+      out.exit_code = 4;
     }
     if (obs::progress_enabled()) {
       obs::progress_tick("batch", completed.fetch_add(1) + 1,

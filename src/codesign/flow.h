@@ -173,12 +173,13 @@ struct BatchJob {
 };
 
 /// Outcome of one batch job. A job that threw (CheckFailure, bad options,
-/// unrecoverable solver error...) reports ok = false with the error text;
-/// the other jobs are unaffected.
+/// unrecoverable solver error...) reports ok = false with the error's
+/// text and exit code; the other jobs are unaffected.
 struct BatchJobResult {
   std::string label;
   bool ok = false;
-  std::string error;  // non-empty iff !ok
+  std::string error;  // non-empty iff !ok: describe() of the error
+  int exit_code = 0;  // iff !ok: exit_code_for the error (2 or 4)
   FlowResult result;  // valid iff ok
 };
 

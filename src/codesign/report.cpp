@@ -240,6 +240,14 @@ obs::RunManifest job_manifest(const std::string& label,
   return manifest;
 }
 
+int sweep_exit_code(bool interrupted, std::size_t failed,
+                    std::size_t unfinished, std::size_t degraded) {
+  if (interrupted) return 5;
+  if (failed > 0) return 4;
+  if (unfinished > 0) return 5;  // unfinished without a signal: drained
+  return degraded > 0 ? 3 : 0;
+}
+
 void fill_batch_manifest(obs::RunManifest& manifest,
                          const FlowOptions& base_options,
                          const BatchResult& batch) {

@@ -6,6 +6,7 @@
 // its generic JSON/number shape.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "codesign/flow.h"
@@ -46,6 +47,13 @@ void fill_run_manifest(obs::RunManifest& manifest, const FlowOptions& options,
 [[nodiscard]] obs::RunManifest job_manifest(const std::string& label,
                                             const std::string& error,
                                             int exit_code);
+
+/// The exit code of a sweep of jobs, `fpkit batch` or `fpkit farm`
+/// (docs/ROBUSTNESS.md): 5 when interrupted, else 4 when a job failed,
+/// else 5 when a job never finished, else 3 when a job degraded, else 0.
+[[nodiscard]] int sweep_exit_code(bool interrupted, std::size_t failed,
+                                  std::size_t unfinished,
+                                  std::size_t degraded);
 
 /// Batch variant: job counts (jobs_degraded counts degraded jobs, as the
 /// farm's manifest does) plus per-job summary blocks under "extra".

@@ -1,7 +1,6 @@
 #include "farm/farm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -40,60 +39,10 @@ namespace {
 
 constexpr std::size_t kStderrTailBytes = 2048;
 constexpr auto kPollInterval = std::chrono::milliseconds(10);
-constexpr auto kHeartbeatInterval = std::chrono::milliseconds(200);
 
 std::string job_dir(const std::string& farm_dir, int job) {
   return farm_dir + "/jobs/job" + std::to_string(job);
 }
-
-/// Touches `path` so its mtime advances; the supervisor's hang detector
-/// reads the mtime back. When the worker captures progress (the
-/// supervisor runs with --progress), the beat carries the latest
-/// stage/done/total so the supervisor can fold job percentages into its
-/// own progress line. Plain truncating write -- a torn heartbeat is
-/// fine: the mtime still advances and the reader tolerates garbage.
-void beat(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  const obs::ProgressSnapshot snapshot = obs::progress_snapshot();
-  if (snapshot.valid) {
-    obs::Json doc = obs::Json::object();
-    doc.set("stage", obs::Json::string(snapshot.stage));
-    doc.set("done", obs::Json::number(snapshot.done));
-    doc.set("total", obs::Json::number(snapshot.total));
-    out << doc.dump() << '\n';
-  } else {
-    out << "beat\n";
-  }
-}
-
-/// Keeps the worker's heartbeat file fresh while the flow runs. The
-/// FPKIT_FARM_WORKER_NO_HEARTBEAT=1 test hook suppresses it so hang
-/// detection can be exercised without a genuinely wedged solver.
-class HeartbeatThread {
- public:
-  explicit HeartbeatThread(std::string path) : path_(std::move(path)) {
-    if (path_.empty()) return;
-    if (const char* env = std::getenv("FPKIT_FARM_WORKER_NO_HEARTBEAT")) {
-      if (std::string_view(env) == "1") return;
-    }
-    beat(path_);
-    thread_ = std::thread([this] {
-      while (!stop_.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(kHeartbeatInterval);
-        beat(path_);
-      }
-    });
-  }
-  ~HeartbeatThread() {
-    stop_.store(true, std::memory_order_relaxed);
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  std::string path_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 /// FPKIT_FARM_WORKER_STALL_MS test hook: park before running the job so
 /// timeout/hang paths are deterministic in tests. Sleeps in small slices
@@ -118,7 +67,9 @@ void maybe_stall() {
 
 int run_farm_worker(const WorkerOptions& options) {
   sig::install_graceful();
-  const HeartbeatThread heartbeat(options.heartbeat_path);
+  // The flow's own progress ticks keep the heartbeat file fresh, so the
+  // supervisor's hang detector sees a flow that stops moving.
+  obs::set_progress_heartbeat(options.heartbeat_path);
   maybe_stall();
 
   std::string label;  // known once the jobs file parses
@@ -203,8 +154,8 @@ std::string trace_index_path(const std::string& farm_dir) {
 }
 
 /// Lenient read of one worker heartbeat's progress payload. Returns the
-/// job's completion fraction in [0, 1], or nothing for a legacy
-/// "beat"-only file, a torn write, or a stage without a total.
+/// job's completion fraction in [0, 1], or nothing for a missing file, a
+/// torn write, or a stage without a total.
 std::optional<double> heartbeat_fraction(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
@@ -212,14 +163,9 @@ std::optional<double> heartbeat_fraction(const std::string& path) {
   buffer << in.rdbuf();
   try {
     const obs::Json doc = obs::json_parse(trim(buffer.str()));
-    if (!doc.is_object()) return std::nullopt;
-    const obs::Json* done = doc.find("done");
-    const obs::Json* total = doc.find("total");
-    if (done == nullptr || !done->is_number() || total == nullptr ||
-        !total->is_number() || total->as_number() <= 0.0) {
-      return std::nullopt;
-    }
-    return std::clamp(done->as_number() / total->as_number(), 0.0, 1.0);
+    const double total = obs::number_or(doc, "total", 0.0);
+    if (total <= 0.0) return std::nullopt;
+    return std::clamp(obs::number_or(doc, "done", 0.0) / total, 0.0, 1.0);
   } catch (const Error&) {
     return std::nullopt;  // torn heartbeat; next beat will be whole
   }
@@ -327,17 +273,9 @@ FarmOutcome summarize(const JournalState& state, bool interrupted,
       if (record.outcome == "timeout") ++outcome.timeouts;
     }
   }
-  if (interrupted) {
-    outcome.exit_code = 5;
-  } else if (outcome.failed > 0) {
-    outcome.exit_code = 4;
-  } else if (outcome.done < outcome.jobs) {
-    outcome.exit_code = 5;  // unfinished without a signal: treat as drained
-  } else if (outcome.degraded > 0) {
-    outcome.exit_code = 3;
-  } else {
-    outcome.exit_code = 0;
-  }
+  outcome.exit_code = sweep_exit_code(
+      interrupted, outcome.failed,
+      outcome.jobs - outcome.done - outcome.failed, outcome.degraded);
   return outcome;
 }
 
@@ -515,12 +453,14 @@ void publish_manifest(const std::string& dir, const FarmJournal& journal,
   }
 }
 
-/// Writes the terminal-failure artifact for a job whose attempts are
-/// exhausted: the batch "failed job" manifest shape (extra.error, exit 4)
-/// so the tree stays batch-compatible even for jobs that only ever
-/// crashed and never wrote a manifest themselves.
+/// Writes the failed-job artifact (the batch shape: extra.error, exit 4)
+/// for a failed job whose last attempt left no manifest of its own -- a
+/// crash or a timeout -- so the tree stays batch-compatible.
+/// A worker that exited by itself already recorded its own error and
+/// code, as a batch job does, and that manifest is kept.
 void write_failure_artifact(const std::string& dir, const JobProgress& job,
                             const AttemptRecord& record) {
+  if (record.outcome == "error" && fs::exists(dir + "/manifest.json")) return;
   std::string error = record.code.empty() ? std::string("FP-INTERNAL")
                                           : record.code;
   error += ": " + (record.detail.empty() ? "attempt failed" : record.detail);
@@ -655,14 +595,6 @@ FarmOutcome run_supervisor(const std::string& exe, FarmJournal& journal) {
     } else {
       spawn.unset_env.emplace_back("FPKIT_TRACE_PARENT");
       spawn.unset_env.emplace_back("FPKIT_TRACE_DIR");
-    }
-    // Workers capture progress (for the heartbeat payload) only when
-    // the supervisor is rendering it; otherwise their heartbeat sites
-    // stay on the one-relaxed-load disabled path.
-    if (obs::progress_enabled()) {
-      spawn.set_env.emplace_back("FPKIT_PROGRESS_CAPTURE", "1");
-    } else {
-      spawn.unset_env.emplace_back("FPKIT_PROGRESS_CAPTURE");
     }
     spawn.stdout_path = slot.stdout_path;
     spawn.stderr_path = slot.stderr_path;

@@ -15,11 +15,12 @@
 //     runs, so SIGKILLing the supervisor loses nothing: `--resume`
 //     replays the journal and re-runs only unfinished jobs, converging
 //     to the same artifact tree as an uninterrupted run;
-//   * per-attempt wall-clock caps and heartbeat staleness detection kill
-//     hung workers (FP-TIMEOUT);
+//   * per-attempt wall-clock caps, and a hang detector that reads the
+//     heartbeat file each worker's flow rewrites from its own progress
+//     ticks (obs/progress.h), kill hung workers (FP-TIMEOUT);
 //   * failed attempts retry up to --max-attempts with deterministic
 //     exponential backoff (seeded jitter: a fixed --backoff-seed yields
-//     an identical schedule);
+//     an identical schedule); bad input (exit 2) fails at once;
 //   * SIGINT/SIGTERM drain gracefully: stop launching, let in-flight
 //     workers finish, flush the journal, exit 5 (a second signal
 //     SIGKILLs the stragglers, whose attempts do not count).
@@ -46,7 +47,7 @@ struct WorkerOptions {
   std::string jobs_file;       // jobs file; the worker re-parses it
   int job_index = 0;           // which line of the jobs file to run
   std::string out_dir;         // per-job artifact dir (jobs/job<i>)
-  std::string heartbeat_path;  // liveness file; empty = no heartbeat
+  std::string heartbeat_path;  // progress file; empty = no heartbeat
   FlowOptions base;            // base options the jobs-file layers over
 };
 

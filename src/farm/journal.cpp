@@ -135,6 +135,78 @@ std::size_t count_state(const std::vector<JobProgress>& jobs,
       }));
 }
 
+/// A fresh farm's state: one pending job per header label.
+JournalState initial_state(const FarmHeader& header) {
+  JournalState state;
+  state.header = header;
+  state.jobs.resize(header.labels.size());
+  for (std::size_t i = 0; i < header.labels.size(); ++i) {
+    state.jobs[i].label = header.labels[i];
+  }
+  return state;
+}
+
+/// Folds one journal event into `state`: the only place a job changes
+/// state. replay_journal folds every line of the log and the live
+/// journal folds each event it appends, so a running farm's state is
+/// what a resume would rebuild. Unknown events and jobs are ignored.
+void apply_event(JournalState& state, const Json& event) {
+  const Json* kind = event.find("event");
+  if (kind == nullptr || !kind->is_string()) return;
+  // Event timestamps arrived with the observability work; journals
+  // written before them replay with first/last left at 0.
+  if (const Json* stamp = event.find("t");
+      stamp != nullptr && stamp->is_number()) {
+    const double t = stamp->as_number();
+    if (state.first_event_t == 0.0) state.first_event_t = t;
+    state.last_event_t = t;
+  }
+  const std::string& name = kind->as_string();
+  if (name == "farm_done") {
+    state.completed = true;
+    return;
+  }
+  if (name != "start" && name != "done" && name != "retry") return;
+  const double index = obs::number_or(event, "job", -1.0);
+  if (index < 0.0 || index >= static_cast<double>(state.jobs.size())) return;
+  JobProgress& job = state.jobs[static_cast<std::size_t>(index)];
+  if (name == "start") {
+    job.state = JobProgress::State::Running;
+    job.attempts = std::max(
+        job.attempts, static_cast<int>(event.at("attempt").as_number()));
+    return;
+  }
+  if (name == "retry") {
+    job.state = JobProgress::State::Pending;
+    return;
+  }
+  AttemptRecord record;
+  record.attempt = static_cast<int>(event.at("attempt").as_number());
+  record.outcome = event.at("outcome").as_string();
+  record.code = obs::string_or(event, "code", "");
+  record.exit_code = static_cast<int>(obs::number_or(event, "exit", 0.0));
+  record.signal = static_cast<int>(obs::number_or(event, "signal", 0.0));
+  record.detail = obs::string_or(event, "detail", "");
+  job.history.push_back(record);
+  if (record.outcome == "ok" || record.outcome == "degraded") {
+    job.state = JobProgress::State::Done;
+    job.degraded = record.outcome == "degraded";
+  } else if (record.outcome == "interrupted") {
+    // A drained attempt is free: it was the *user's* signal, not the
+    // job's fault, so it neither counts towards max_attempts nor leaves
+    // the job failed.
+    job.state = JobProgress::State::Pending;
+    job.attempts = std::max(0, record.attempt - 1);
+  } else if ((record.outcome == "error" && record.exit_code == 2) ||
+             job.attempts >= state.header.max_attempts) {
+    // Exit 2 is bad input (FP-INVALID, FP-IO, FP-PROTO): every retry
+    // would fail the same way.
+    job.state = JobProgress::State::Failed;
+  } else {
+    job.state = JobProgress::State::Pending;
+  }
+}
+
 }  // namespace
 
 std::size_t JournalState::done_count() const {
@@ -181,13 +253,10 @@ FarmJournal FarmJournal::create(const std::string& dir,
   }
   FarmJournal journal;
   journal.dir_ = dir;
-  journal.state_.took_over = acquire_lock(dir);
+  const bool took_over = acquire_lock(dir);
   write_file_atomic(header_path(dir), header_to_json(header).dump() + "\n");
-  journal.state_.header = header;
-  journal.state_.jobs.resize(header.labels.size());
-  for (std::size_t i = 0; i < header.labels.size(); ++i) {
-    journal.state_.jobs[i].label = header.labels[i];
-  }
+  journal.state_ = initial_state(header);
+  journal.state_.took_over = took_over;
   journal.log_.open(journal_path(dir), std::ios::binary | std::ios::app);
   if (!journal.log_) {
     throw IoError("farm journal: cannot open " + journal_path(dir));
@@ -200,13 +269,8 @@ JournalState replay_journal(const std::string& dir) {
     throw InvalidArgument("farm directory " + dir +
                           " has no farm.json; nothing to resume");
   }
-  JournalState state;
-  state.header = header_from_json(obs::json_load(header_path(dir)));
-  const FarmHeader& header = state.header;
-  state.jobs.resize(header.labels.size());
-  for (std::size_t i = 0; i < header.labels.size(); ++i) {
-    state.jobs[i].label = header.labels[i];
-  }
+  JournalState state =
+      initial_state(header_from_json(obs::json_load(header_path(dir))));
 
   // Replay. Each event line is independent; a torn final line (the write
   // a SIGKILL interrupted) fails json_parse and is skipped -- its job
@@ -221,64 +285,7 @@ JournalState replay_journal(const std::string& dir) {
     } catch (const Error&) {
       continue;  // torn tail
     }
-    const Json* kind = event.find("event");
-    if (kind == nullptr || !kind->is_string()) continue;
-    // Event timestamps arrived with the observability work; journals
-    // written before them replay with first/last left at 0.
-    if (const Json* stamp = event.find("t")) {
-      if (stamp->is_number()) {
-        const double t = stamp->as_number();
-        if (state.first_event_t == 0.0) state.first_event_t = t;
-        state.last_event_t = t;
-      }
-    }
-    const std::string& name = kind->as_string();
-    if (name == "farm_done") {
-      state.completed = true;
-      continue;
-    }
-    if (name != "start" && name != "done" && name != "retry") continue;
-    const Json* job_field = event.find("job");
-    if (job_field == nullptr || !job_field->is_number()) continue;
-    const auto index = static_cast<std::size_t>(job_field->as_number());
-    if (index >= state.jobs.size()) continue;
-    JobProgress& job = state.jobs[index];
-    if (name == "start") {
-      job.state = JobProgress::State::Running;
-      job.attempts = std::max(
-          job.attempts, static_cast<int>(event.at("attempt").as_number()));
-    } else if (name == "retry") {
-      job.state = JobProgress::State::Pending;
-    } else {  // done
-      AttemptRecord record;
-      record.attempt = static_cast<int>(event.at("attempt").as_number());
-      record.outcome = event.at("outcome").as_string();
-      if (const Json* code = event.find("code")) record.code = code->as_string();
-      if (const Json* exit = event.find("exit")) {
-        record.exit_code = static_cast<int>(exit->as_number());
-      }
-      if (const Json* sig = event.find("signal")) {
-        record.signal = static_cast<int>(sig->as_number());
-      }
-      if (const Json* detail = event.find("detail")) {
-        record.detail = detail->as_string();
-      }
-      job.history.push_back(record);
-      if (record.outcome == "ok" || record.outcome == "degraded") {
-        job.state = JobProgress::State::Done;
-        job.degraded = record.outcome == "degraded";
-      } else if (record.outcome == "interrupted") {
-        // A drained attempt is free: it was the *user's* signal, not the
-        // job's fault, so it neither counts towards max_attempts nor
-        // leaves the job failed.
-        job.state = JobProgress::State::Pending;
-        job.attempts = std::max(0, record.attempt - 1);
-      } else if (job.attempts >= header.max_attempts) {
-        job.state = JobProgress::State::Failed;
-      } else {
-        job.state = JobProgress::State::Pending;
-      }
-    }
+    apply_event(state, event);
   }
   return state;
 }
@@ -320,6 +327,7 @@ void FarmJournal::append(Json event) {
   log_ << event.dump() << '\n';
   log_.flush();
   if (!log_) throw IoError("farm journal: append failed in " + dir_);
+  apply_event(state_, event);
 }
 
 void FarmJournal::record_start(int job, int attempt) {
@@ -328,9 +336,6 @@ void FarmJournal::record_start(int job, int attempt) {
   event.set("job", Json::number(static_cast<long long>(job)));
   event.set("attempt", Json::number(static_cast<long long>(attempt)));
   append(event);
-  auto& progress = state_.jobs[static_cast<std::size_t>(job)];
-  progress.state = JobProgress::State::Running;
-  progress.attempts = std::max(progress.attempts, attempt);
 }
 
 void FarmJournal::record_done(int job, const AttemptRecord& record) {
@@ -346,20 +351,6 @@ void FarmJournal::record_done(int job, const AttemptRecord& record) {
     event.set("detail", Json::string(record.detail));
   }
   append(event);
-  auto& progress = state_.jobs[static_cast<std::size_t>(job)];
-  progress.history.push_back(record);
-  if (record.outcome == "ok" || record.outcome == "degraded") {
-    progress.state = JobProgress::State::Done;
-    progress.degraded = record.outcome == "degraded";
-  } else if (record.outcome == "interrupted") {
-    // Mirrors replay: an interrupted attempt is free (see resume()).
-    progress.state = JobProgress::State::Pending;
-    progress.attempts = std::max(0, record.attempt - 1);
-  } else if (progress.attempts >= state_.header.max_attempts) {
-    progress.state = JobProgress::State::Failed;
-  } else {
-    progress.state = JobProgress::State::Pending;
-  }
 }
 
 void FarmJournal::record_retry(int job, int next_attempt, long long delay_ms) {
@@ -375,7 +366,6 @@ void FarmJournal::record_marker(std::string_view event_name) {
   Json event = Json::object();
   event.set("event", Json::string(std::string(event_name)));
   append(event);
-  if (event_name == "farm_done") state_.completed = true;
 }
 
 void FarmJournal::release_lock() {

@@ -21,9 +21,12 @@
 //                        SIGKILL), recording the takeover in the journal.
 //
 // Replaying the journal classifies every job as pending (never finished),
-// done (ok/degraded) or terminally failed (attempts exhausted); a resume
-// re-runs only the pending ones, which is what makes an interrupted farm
-// converge to the same artifact tree as an uninterrupted run.
+// done (ok/degraded) or terminally failed (attempts exhausted, or bad
+// input: an attempt that exited 2); a resume re-runs only the pending
+// ones, which is what makes an interrupted farm converge to the same
+// artifact tree as an uninterrupted run. The live journal folds each
+// event it appends through the same transitions, so its state is always
+// what a replay of its file would rebuild.
 //
 // The retry schedule is deterministic: backoff_delay_ms() derives each
 // delay from (seed, job index, attempt) through splitmix-seeded Rng
@@ -57,6 +60,8 @@ struct FarmHeader {
   std::uint64_t backoff_seed = 1;        // jitter seed
   std::string fault_spec;                // forwarded to first attempts only
   std::vector<std::string> base_flags;   // flow flags forwarded to workers
+
+  friend bool operator==(const FarmHeader&, const FarmHeader&) = default;
 };
 
 [[nodiscard]] obs::Json header_to_json(const FarmHeader& header);
@@ -70,6 +75,9 @@ struct AttemptRecord {
   int exit_code = 0;       // worker exit code (normal exits)
   int signal = 0;          // terminating signal (crashes/kills)
   std::string detail;      // classification text + stderr tail
+
+  friend bool operator==(const AttemptRecord&,
+                         const AttemptRecord&) = default;
 };
 
 /// One job's replayed progress.
@@ -80,6 +88,8 @@ struct JobProgress {
   int attempts = 0;                     // attempts started so far
   std::vector<AttemptRecord> history;   // finished attempts, in order
   bool degraded = false;                // final attempt exited 3
+
+  friend bool operator==(const JobProgress&, const JobProgress&) = default;
 };
 
 /// Whole-journal replay result.
@@ -98,6 +108,8 @@ struct JournalState {
   [[nodiscard]] std::size_t done_count() const;
   [[nodiscard]] std::size_t failed_count() const;
   [[nodiscard]] std::size_t running_count() const;
+
+  friend bool operator==(const JournalState&, const JournalState&) = default;
 };
 
 /// Read-only journal replay: loads <dir>/farm.json and folds the event
@@ -136,7 +148,8 @@ class FarmJournal {
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
   // Event appenders; each stamps the wall clock ("t", unix seconds),
-  // writes one line and flushes it.
+  // writes one line, flushes it and folds the event into state() as
+  // replay_journal would.
   void record_start(int job, int attempt);
   void record_done(int job, const AttemptRecord& record);
   void record_retry(int job, int next_attempt, long long delay_ms);

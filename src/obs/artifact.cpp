@@ -27,8 +27,13 @@ namespace fs = std::filesystem;
 constexpr const char* kRecordedEnv[] = {"FPKIT_THREADS", "FPKIT_TRACE",
                                         "FPKIT_FAULTS", "FPKIT_ARTIFACT_DIR"};
 
-/// Timing quantities are gated by --max-slowdown, never by equality:
-/// two byte-identical runs still differ in wall clock.
+/// Cost quantities are gated by --require-equal-cost.
+bool is_cost_name(std::string_view name) {
+  return name.find("cost") != std::string_view::npos;
+}
+
+}  // namespace
+
 bool is_timing_name(std::string_view name) {
   const auto ends_with = [&](std::string_view suffix) {
     return name.size() >= suffix.size() &&
@@ -37,13 +42,6 @@ bool is_timing_name(std::string_view name) {
   return ends_with("_s") || ends_with("_us") || ends_with("_seconds") ||
          name == "wall" || name == "runtime";
 }
-
-/// Cost quantities are gated by --require-equal-cost.
-bool is_cost_name(std::string_view name) {
-  return name.find("cost") != std::string_view::npos;
-}
-
-}  // namespace
 
 bool timing_regression(double a, double b, const CompareOptions& options) {
   return options.max_slowdown > 0.0 && a >= options.min_time_s &&

@@ -134,6 +134,11 @@ struct CompareOptions {
   bool require_equal_cost = false;
 };
 
+/// True for the timing quantities --max-slowdown gates, never equality:
+/// names ending in _s, _us or _seconds, and "wall"/"runtime". Two
+/// byte-identical runs still differ in wall clock.
+[[nodiscard]] bool is_timing_name(std::string_view name);
+
 /// The --max-slowdown timing gate on its own: true when baseline `a` is
 /// gateable (at/above min_time_s) and `b` exceeds a * max_slowdown. The
 /// comparer and the dashboard's regression highlighting share this exact

@@ -18,16 +18,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Trend keys gated by the slowdown rule (mirrors the comparer's
-/// is_timing_name, plus the stage.* keys the dashboard synthesises).
+/// Trend keys gated by the slowdown rule: the comparer's timing names
+/// plus the stage.* keys the dashboard synthesises.
 bool is_timing_key(std::string_view name) {
-  const auto ends_with = [&](std::string_view suffix) {
-    return name.size() >= suffix.size() &&
-           name.substr(name.size() - suffix.size()) == suffix;
-  };
-  return ends_with("_s") || ends_with("_us") || ends_with("_seconds") ||
-         name == "wall" || name == "runtime" ||
-         name.substr(0, 6) == "stage.";
+  return is_timing_name(name) || name.substr(0, 6) == "stage.";
 }
 
 /// Flattens one run into the quantities the trend panels draw from.

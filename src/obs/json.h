@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace fp::obs {
@@ -99,5 +100,23 @@ void json_append_quoted(std::string& out, std::string_view text);
 /// json_append_number and json_append_quoted as strings.
 [[nodiscard]] std::string json_number_text(double value);
 [[nodiscard]] std::string json_quote(std::string_view text);
+
+/// Lenient field reads for documents fpkit tolerates partially (traces,
+/// metrics parts, heartbeats): `key`'s value when `object` has it with
+/// the right kind, else `fallback`.
+[[nodiscard]] inline double number_or(const Json& object, std::string_view key,
+                                      double fallback) {
+  const Json* value = object.find(key);
+  return value != nullptr && value->is_number() ? value->as_number()
+                                                : fallback;
+}
+
+[[nodiscard]] inline std::string string_or(const Json& object,
+                                           std::string_view key,
+                                           std::string fallback) {
+  const Json* value = object.find(key);
+  return value != nullptr && value->is_string() ? value->as_string()
+                                                : std::move(fallback);
+}
 
 }  // namespace fp::obs

@@ -16,19 +16,6 @@ namespace {
 /// near it is already saturated for reporting purposes.
 constexpr double kCounterMax = 18446744073709551615.0;
 
-double number_or(const Json& object, std::string_view key, double fallback) {
-  const Json* value = object.find(key);
-  return value != nullptr && value->is_number() ? value->as_number()
-                                                : fallback;
-}
-
-std::string string_or(const Json& object, std::string_view key,
-                      std::string fallback) {
-  const Json* value = object.find(key);
-  return value != nullptr && value->is_string() ? value->as_string()
-                                                : std::move(fallback);
-}
-
 }  // namespace
 
 Json trace_index_to_json(const TraceIndex& index) {

@@ -24,19 +24,6 @@ const std::vector<Json>* event_array(const Json& doc) {
   return nullptr;
 }
 
-double number_or(const Json& object, std::string_view key, double fallback) {
-  const Json* value = object.find(key);
-  return value != nullptr && value->is_number() ? value->as_number()
-                                                : fallback;
-}
-
-std::string string_or(const Json& object, std::string_view key,
-                      std::string fallback) {
-  const Json* value = object.find(key);
-  return value != nullptr && value->is_string() ? value->as_string()
-                                                : std::move(fallback);
-}
-
 /// An open "B" event waiting for its "E" partner.
 struct OpenSpan {
   std::string name;

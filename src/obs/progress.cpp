@@ -6,6 +6,8 @@
 #include <cstring>
 #include <mutex>
 
+#include "obs/json.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
@@ -22,15 +24,17 @@ namespace {
 /// log lines (CI, redirected stderr) are kept to one per second.
 constexpr double kTtyIntervalS = 0.1;
 constexpr double kLineIntervalS = 1.0;
+constexpr auto kHeartbeatInterval = std::chrono::milliseconds(200);
 
 struct ProgressState {
   std::mutex mutex;
-  std::string stage;
+  ProgressSnapshot latest;  // latest stage/tick; its stage owns the clock
   std::chrono::steady_clock::time_point stage_start;
   std::chrono::steady_clock::time_point last_render;
   bool rendered = false;      // an in-place line is on screen
   std::size_t last_width = 0;  // width of that line, for clean erasing
-  ProgressSnapshot snapshot;   // latest tick, when capture is armed
+  std::string heartbeat_path;  // armed heartbeat file; "" = none
+  std::chrono::steady_clock::time_point last_beat;
 };
 
 ProgressState& state() {
@@ -69,6 +73,23 @@ void emit(ProgressState& s, const std::string& line) {
   }
 }
 
+/// Rewrites the armed heartbeat file with the latest stage/tick, at most
+/// once per kHeartbeatInterval. A plain truncating write: a torn beat
+/// still advances the mtime the farm's hang detector reads, and its
+/// reader tolerates garbage. Caller holds the state mutex.
+void beat(ProgressState& s, std::chrono::steady_clock::time_point now) {
+  if (s.heartbeat_path.empty() || now - s.last_beat < kHeartbeatInterval) {
+    return;
+  }
+  s.last_beat = now;
+  if (std::FILE* out = std::fopen(s.heartbeat_path.c_str(), "wb")) {
+    std::fprintf(out, "{\"done\":%lld,\"stage\":%s,\"total\":%lld}\n",
+                 s.latest.done, json_quote(s.latest.stage).c_str(),
+                 s.latest.total);
+    std::fclose(out);
+  }
+}
+
 /// True when the given mode bit is set.
 bool mode_on(int bit) {
   return (detail::g_progress.load(std::memory_order_relaxed) & bit) != 0;
@@ -90,8 +111,13 @@ void set_progress_enabled(bool on) {
   set_mode_bit(detail::kProgressRender, on);
 }
 
-void set_progress_capture(bool on) {
-  set_mode_bit(detail::kProgressCapture, on);
+void set_progress_heartbeat(std::string path) {
+  ProgressState& s = state();
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  s.heartbeat_path = std::move(path);
+  // The first stage or tick after arming beats at once.
+  s.last_beat = std::chrono::steady_clock::now() - kHeartbeatInterval;
+  set_mode_bit(detail::kProgressHeartbeat, !s.heartbeat_path.empty());
 }
 
 bool arm_progress_from_env() {
@@ -141,14 +167,12 @@ void progress_stage(std::string_view stage) {
   ProgressState& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
   const auto now = std::chrono::steady_clock::now();
-  s.stage.assign(stage);
+  s.latest.stage.assign(stage);
+  s.latest.done = 0;
+  s.latest.total = 0;
+  s.latest.valid = true;
   s.stage_start = now;
-  if (mode_on(detail::kProgressCapture)) {
-    s.snapshot.stage.assign(stage);
-    s.snapshot.done = 0;
-    s.snapshot.total = 0;
-    s.snapshot.valid = true;
-  }
+  beat(s, now);
   if (!mode_on(detail::kProgressRender)) return;
   s.last_render = now;
   emit(s, progress_line(stage, 0, 0, 0.0));
@@ -159,17 +183,15 @@ void progress_tick(std::string_view stage, long long done, long long total) {
   ProgressState& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
   const auto now = std::chrono::steady_clock::now();
-  const bool stage_changed = s.stage != stage;
+  const bool stage_changed = s.latest.stage != stage;
   if (stage_changed) {
-    s.stage.assign(stage);
+    s.latest.stage.assign(stage);
     s.stage_start = now;
   }
-  if (mode_on(detail::kProgressCapture)) {
-    s.snapshot.stage.assign(stage);
-    s.snapshot.done = done;
-    s.snapshot.total = total;
-    s.snapshot.valid = true;
-  }
+  s.latest.done = done;
+  s.latest.total = total;
+  s.latest.valid = true;
+  beat(s, now);
   if (!mode_on(detail::kProgressRender)) return;
   if (!stage_changed) {
     const double interval =
@@ -188,7 +210,7 @@ void progress_tick(std::string_view stage, long long done, long long total) {
 ProgressSnapshot progress_snapshot() {
   ProgressState& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
-  return s.snapshot;
+  return s.latest;
 }
 
 void progress_render(const std::string& line, bool final) {

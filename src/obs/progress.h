@@ -1,14 +1,16 @@
 // Live run progress for long flows (docs/DASHBOARD.md): heartbeat lines
 // on stderr with the active stage, a percent-complete derived from the
 // stage's own unit counter (SA temperature steps, solver iterations,
-// router improvement passes) and a naive linear ETA.
+// router improvement passes) and a naive linear ETA. The same ticks can
+// rewrite a heartbeat file instead: a farm worker's liveness signal.
 //
-// Opt-in via `fpkit ... --progress` or FPKIT_PROGRESS=1. Like the tracer
-// and the metrics registry, the disabled path is one relaxed atomic load
-// per heartbeat site -- no clock read, no lock, no allocation -- so a run
-// without --progress stays bit-identical to an uninstrumented build
-// (tests/dash_test.cpp asserts this). When enabled, everything goes to
-// stderr only; stdout and every numeric result are untouched.
+// Opt-in via `fpkit ... --progress`, FPKIT_PROGRESS=1 or a heartbeat
+// file. Like the tracer and the metrics registry, the disabled path is
+// one relaxed atomic load per heartbeat site -- no clock read, no lock,
+// no allocation -- so a run without progress stays bit-identical to an
+// uninstrumented build (tests/dash_test.cpp asserts this). Lines go to
+// stderr and beats to the file only; stdout and every result are
+// untouched.
 #pragma once
 
 #include <atomic>
@@ -18,11 +20,11 @@
 namespace fp::obs {
 
 namespace detail {
-// Bitmask: render heartbeats to stderr, and/or capture the latest tick
-// for progress_snapshot(). One atomic keeps the disabled fast path at a
-// single relaxed load.
+// Bitmask: render heartbeats to stderr, and/or write them to the armed
+// heartbeat file. One atomic keeps the disabled fast path at a single
+// relaxed load.
 inline constexpr int kProgressRender = 1;
-inline constexpr int kProgressCapture = 2;
+inline constexpr int kProgressHeartbeat = 2;
 extern std::atomic<int> g_progress;
 }  // namespace detail
 
@@ -31,29 +33,29 @@ inline bool progress_enabled() {
   return detail::g_progress.load(std::memory_order_relaxed) != 0;
 }
 
-/// Turns stderr heartbeat rendering on or off (capture is unaffected).
+/// Turns stderr heartbeat rendering on or off (the file is unaffected).
 void set_progress_enabled(bool on);
 
-/// Turns snapshot capture on or off (rendering is unaffected). Farm
-/// workers run with capture only: their ticks go to the heartbeat file,
-/// not to stderr, and the supervisor renders the folded farm line.
-void set_progress_capture(bool on);
+/// Arms the heartbeat file at `path`, or disarms it with "" (rendering is
+/// unaffected). While armed, progress_stage and progress_tick rewrite the
+/// file with {"stage","done","total"} at most once per 200 ms; a farm
+/// worker arms its --heartbeat-file here.
+void set_progress_heartbeat(std::string path);
 
 /// Arms progress when FPKIT_PROGRESS is set to anything but "" or "0";
 /// returns whether it armed. The CLI calls this next to --progress.
 bool arm_progress_from_env();
 
-/// The most recent tick, for code that forwards progress instead of
-/// rendering it (the farm worker's heartbeat thread).
+/// The most recent stage or tick, recorded whenever progress is on.
 struct ProgressSnapshot {
   std::string stage;
   long long done = 0;
   long long total = 0;
-  bool valid = false;  // false until the first stage/tick after arming
+  bool valid = false;  // false until the first stage/tick with progress on
 };
 
-/// Returns the captured snapshot; `valid` is false while capture is off
-/// or before the first heartbeat arrives.
+/// Returns the latest snapshot; `valid` is false before the first stage
+/// or tick that arrived while progress was on.
 [[nodiscard]] ProgressSnapshot progress_snapshot();
 
 /// Renders an externally composed line through the same throttle and
@@ -63,13 +65,14 @@ struct ProgressSnapshot {
 void progress_render(const std::string& line, bool final = false);
 
 /// Announces a new stage ("assign", "exchange", ...): resets the stage
-/// clock and renders one heartbeat immediately. No-op when disabled.
+/// clock, renders one heartbeat immediately and beats the armed file
+/// (throttled). No-op when disabled.
 void progress_stage(std::string_view stage);
 
 /// Reports `done` of `total` units for `stage` and renders a throttled
 /// heartbeat (in-place \r updates on a terminal, rate-limited plain lines
-/// otherwise). `total <= 0` renders the unit count without a percentage.
-/// No-op when disabled.
+/// otherwise) and beats the armed file (throttled). `total <= 0` renders
+/// the unit count without a percentage. No-op when disabled.
 void progress_tick(std::string_view stage, long long done, long long total);
 
 /// Clears the in-place status line (terminal mode); call before handing

@@ -4,9 +4,12 @@
 // highlighting, and the progress layer's bit-identical disabled path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 
 #include "codesign/flow.h"
 #include "obs/dash.h"
@@ -341,6 +344,49 @@ TEST(ProgressTest, DisabledPathIsBitIdentical) {
   EXPECT_EQ(off.final.ring_order(), on.final.ring_order());
   EXPECT_EQ(off.anneal.final_cost, off2.anneal.final_cost);
   EXPECT_EQ(off.final.ring_order(), off2.final.ring_order());
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ProgressTest, HeartbeatFileHoldsTheLatestThrottledTick) {
+  const std::string path = ::testing::TempDir() + "progress_test.hb";
+  std::filesystem::remove(path);
+  ASSERT_FALSE(obs::progress_enabled());
+  obs::set_progress_heartbeat(path);
+  EXPECT_TRUE(obs::progress_enabled());
+
+  // The first stage after arming beats at once; a tick within 200 ms of
+  // that beat leaves the file as it was.
+  obs::progress_stage("exchange");
+  EXPECT_EQ(read_text(path), "{\"done\":0,\"stage\":\"exchange\",\"total\":0}\n");
+  obs::progress_tick("exchange", 3, 10);
+  EXPECT_EQ(read_text(path), "{\"done\":0,\"stage\":\"exchange\",\"total\":0}\n");
+  // The latest tick is still recorded for progress_snapshot.
+  const obs::ProgressSnapshot snapshot = obs::progress_snapshot();
+  EXPECT_TRUE(snapshot.valid);
+  EXPECT_EQ(snapshot.stage, "exchange");
+  EXPECT_EQ(snapshot.done, 3);
+  EXPECT_EQ(snapshot.total, 10);
+
+  // Past the 200 ms interval, the next tick rewrites the file.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  obs::progress_tick("exchange", 4, 10);
+  EXPECT_EQ(read_text(path), "{\"done\":4,\"stage\":\"exchange\",\"total\":10}\n");
+
+  // Arming "" stops the writes and turns progress off again.
+  obs::set_progress_heartbeat("");
+  EXPECT_FALSE(obs::progress_enabled());
+  std::filesystem::remove(path);
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  obs::progress_stage("solver");
+  obs::progress_tick("solver", 5, 10);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  // With progress off the ticks record nothing either.
+  EXPECT_EQ(obs::progress_snapshot().done, 4);
 }
 
 // -------------------------------------------------------- host capture

@@ -213,10 +213,13 @@ TEST(FarmJournalTest, TornFinalLineIsIgnored) {
     journal.release_lock();
   }
   {
-    // Simulate a crash mid-append: a half-written JSON line at the tail.
+    // Events naming no job of this farm are skipped; then a crash
+    // mid-append: a half-written JSON line at the tail.
     std::ofstream log(dir + "/journal.jsonl",
                       std::ios::binary | std::ios::app);
-    log << "{\"event\":\"done\",\"job\":0,\"att";
+    log << "{\"event\":\"start\",\"job\":-1,\"attempt\":9}\n"
+        << "{\"event\":\"start\",\"job\":1,\"attempt\":9}\n"
+        << "{\"event\":\"done\",\"job\":0,\"att";
   }
   const FarmJournal replay = FarmJournal::resume(dir);
   ASSERT_EQ(replay.state().jobs.size(), 1u);
@@ -239,6 +242,56 @@ TEST(FarmJournalTest, InterruptedAttemptDoesNotConsumeRetryBudget) {
   EXPECT_EQ(replay.state().jobs[0].attempts, 0)
       << "a drained attempt must be free: the operator's Ctrl-C is not "
          "the job's fault";
+}
+
+TEST(FarmJournalTest, BadInputFailsItsJobAfterOneAttempt) {
+  const std::string dir = scratch_dir();
+  {
+    FarmJournal journal =
+        FarmJournal::create(dir, small_header({"bad", "flaky"}));
+    // Exit 2 (FP-INVALID) fails the same way on every attempt: no retry.
+    journal.record_start(0, 1);
+    journal.record_done(0, make_record(1, "error", "FP-INVALID", 2));
+    // Exit 4 keeps its retries.
+    journal.record_start(1, 1);
+    journal.record_done(1, make_record(1, "error", "FP-INTERNAL", 4));
+    const JournalState& live = journal.state();
+    EXPECT_EQ(live.jobs[0].state, JobProgress::State::Failed);
+    EXPECT_EQ(live.jobs[0].attempts, 1);
+    EXPECT_EQ(live.jobs[0].history.size(), 1u);
+    EXPECT_EQ(live.jobs[1].state, JobProgress::State::Pending);
+    journal.release_lock();
+  }
+  const JournalState replay = replay_journal(dir);
+  EXPECT_EQ(replay.jobs[0].state, JobProgress::State::Failed);
+  EXPECT_EQ(replay.jobs[1].state, JobProgress::State::Pending);
+}
+
+TEST(FarmJournalTest, LiveStateEqualsTheReplayOfItsOwnFile) {
+  const std::string dir = scratch_dir();
+  FarmJournal journal =
+      FarmJournal::create(dir, small_header({"a", "b", "c"}));
+  journal.record_start(0, 1);
+  journal.record_start(1, 1);
+  journal.record_done(0, make_record(1, "crash", "FP-CRASH", 0, SIGSEGV));
+  journal.record_retry(0, 2, 120);
+  journal.record_start(0, 2);
+  journal.record_done(0, make_record(2, "degraded", "", 3));
+  journal.record_done(1, make_record(1, "timeout", "FP-TIMEOUT", 0, SIGKILL));
+  journal.record_retry(1, 2, 230);
+  journal.record_start(2, 1);
+  journal.record_marker("interrupted");
+  journal.record_done(2, make_record(1, "interrupted", "", 5));
+  const JournalState replay = replay_journal(dir);
+  EXPECT_TRUE(journal.state() == replay);
+  EXPECT_EQ(replay.jobs[0].state, JobProgress::State::Done);
+  EXPECT_EQ(replay.jobs[1].state, JobProgress::State::Pending);
+  EXPECT_EQ(replay.jobs[2].attempts, 0);
+  EXPECT_GT(replay.last_event_t, 0.0);
+  journal.record_marker("farm_done");
+  EXPECT_TRUE(journal.state().completed);
+  EXPECT_TRUE(journal.state() == replay_journal(dir));
+  journal.release_lock();
 }
 
 TEST(FarmJournalTest, CreateRefusesADirectoryThatAlreadyHoldsAJournal) {
@@ -312,7 +365,7 @@ CliResult run_cli(
   // leak that recorder into the children under test.
   options.unset_env = {"FPKIT_ARTIFACT_DIR", "FPKIT_TRACE", "FPKIT_FAULTS",
                        "FPKIT_TRACE_DIR", "FPKIT_TRACE_PARENT",
-                       "FPKIT_PROGRESS", "FPKIT_PROGRESS_CAPTURE"};
+                       "FPKIT_PROGRESS"};
   options.stdout_path = dir + "/" + tag + ".out";
   options.stderr_path = dir + "/" + tag + ".err";
   exec::Child child = exec::Child::spawn(options);
@@ -552,16 +605,15 @@ TEST(FarmEndToEndTest, AbortingWorkerIsContainedRetriedAndConverges) {
 TEST(FarmEndToEndTest, HungWorkerIsKilledAsTimeout) {
   const std::string dir = scratch_dir();
   write_fixture(dir);
-  // Workers park for 30 s without ever heartbeating; the supervisor's
-  // hang detector must SIGKILL them long before that and record
-  // FP-TIMEOUT. One attempt only, so the farm fails fast.
+  // Workers park for 30 s before their flow starts, so no progress tick
+  // beats; the supervisor's hang detector must SIGKILL them long before
+  // that and record FP-TIMEOUT. One attempt only, so the farm fails fast.
   const CliResult farm = run_cli(
       dir, "farm",
       {"farm", dir + "/circuit.fp", "--jobs-file", dir + "/jobs.txt",
        "--out", dir + "/farm", "--workers", "3", "--max-attempts", "1",
        "--hang-timeout", "0.4"},
-      {{"FPKIT_FARM_WORKER_STALL_MS", "30000"},
-       {"FPKIT_FARM_WORKER_NO_HEARTBEAT", "1"}});
+      {{"FPKIT_FARM_WORKER_STALL_MS", "30000"}});
   ASSERT_TRUE(farm.status.exited) << farm.err;
   EXPECT_EQ(farm.status.code, 4);
   const Json manifest = load_manifest(dir + "/farm");
@@ -583,8 +635,7 @@ TEST(FarmEndToEndTest, HungWorkerIsKilledAsTimeout) {
 TEST(FarmEndToEndTest, WallClockCapKillsSlowAttempt) {
   const std::string dir = scratch_dir();
   write_fixture(dir);
-  // Heartbeats keep arriving (no NO_HEARTBEAT), so only the per-attempt
-  // wall cap can fire here.
+  // No --hang-timeout, so only the per-attempt wall cap can fire here.
   const CliResult farm = run_cli(
       dir, "farm",
       {"farm", dir + "/circuit.fp", "--jobs-file", dir + "/jobs.txt",
@@ -595,6 +646,44 @@ TEST(FarmEndToEndTest, WallClockCapKillsSlowAttempt) {
   EXPECT_EQ(farm.status.code, 4);
   const Json manifest = load_manifest(dir + "/farm");
   EXPECT_GE(result_value(manifest, "farm_timeouts"), 3.0);
+}
+
+TEST(FarmEndToEndTest, BadInputFailsOnceAndRecordsLikeBatch) {
+  const std::string dir = scratch_dir();
+  write_fixture(dir);
+  {
+    std::ofstream jobs(dir + "/bad.txt");
+    jobs << "bad method=dfa seed=2 mesh=12 lambda=-1\n";
+  }
+  const CliResult farm = run_cli(
+      dir, "farm",
+      {"farm", dir + "/circuit.fp", "--jobs-file", dir + "/bad.txt",
+       "--out", dir + "/farm"});
+  ASSERT_TRUE(farm.status.exited) << farm.err;
+  EXPECT_EQ(farm.status.code, 4) << farm.err;
+  const Json manifest = load_manifest(dir + "/farm");
+  const Json& job = manifest.at("extra").at("farm").at("jobs").items().at(0);
+  EXPECT_EQ(job.at("status").as_string(), "failed");
+  ASSERT_EQ(job.at("history").items().size(), 1u)
+      << "bad input fails the same way on every attempt";
+  EXPECT_EQ(job.at("history").items()[0].at("code").as_string(),
+            "FP-INVALID");
+
+  // The worker's own job manifest is kept, and a batch of the same line
+  // records the same exit code and error text.
+  const CliResult batch = run_cli(
+      dir, "batch",
+      {"batch", dir + "/circuit.fp", "--jobs-file", dir + "/bad.txt",
+       "--artifact-dir", dir + "/batch"});
+  ASSERT_TRUE(batch.status.exited) << batch.err;
+  EXPECT_EQ(batch.status.code, 4) << batch.err;
+  const Json farm_job = load_manifest(dir + "/farm/jobs/job0");
+  const Json batch_job = load_manifest(dir + "/batch/jobs/job0");
+  EXPECT_EQ(farm_job.at("exit_code").as_number(), 2.0);
+  EXPECT_EQ(batch_job.at("exit_code").as_number(), 2.0);
+  const std::string error = farm_job.at("extra").at("error").as_string();
+  EXPECT_EQ(error.rfind("[FP-INVALID] ", 0), 0u) << error;
+  EXPECT_EQ(batch_job.at("extra").at("error").as_string(), error);
 }
 
 /// Polls until `path` exists and is non-empty (the supervisor has
@@ -628,7 +717,7 @@ TEST(FarmEndToEndTest, KilledSupervisorResumesToEquivalentTree) {
   options.set_env = {{"FPKIT_FARM_WORKER_STALL_MS", "400"}};
   options.unset_env = {"FPKIT_ARTIFACT_DIR", "FPKIT_TRACE", "FPKIT_FAULTS",
                        "FPKIT_TRACE_DIR", "FPKIT_TRACE_PARENT",
-                       "FPKIT_PROGRESS", "FPKIT_PROGRESS_CAPTURE"};
+                       "FPKIT_PROGRESS"};
   options.stdout_path = dir + "/victim.out";
   options.stderr_path = dir + "/victim.err";
   exec::Child supervisor = exec::Child::spawn(options);
@@ -670,7 +759,7 @@ TEST(FarmEndToEndTest, SigtermDrainsWithDistinctExitCodeThenResumes) {
   options.set_env = {{"FPKIT_FARM_WORKER_STALL_MS", "400"}};
   options.unset_env = {"FPKIT_ARTIFACT_DIR", "FPKIT_TRACE", "FPKIT_FAULTS",
                        "FPKIT_TRACE_DIR", "FPKIT_TRACE_PARENT",
-                       "FPKIT_PROGRESS", "FPKIT_PROGRESS_CAPTURE"};
+                       "FPKIT_PROGRESS"};
   options.stdout_path = dir + "/drain.out";
   options.stderr_path = dir + "/drain.err";
   exec::Child supervisor = exec::Child::spawn(options);

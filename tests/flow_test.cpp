@@ -315,7 +315,10 @@ TEST(FlowParallel, BatchCapturesPerJobErrors) {
   ASSERT_EQ(batch.jobs.size(), 2u);
   EXPECT_TRUE(batch.jobs[0].ok);
   EXPECT_FALSE(batch.jobs[1].ok);
-  EXPECT_FALSE(batch.jobs[1].error.empty());
+  // The error's own text and code: bad input is FP-INVALID, exit 2.
+  EXPECT_EQ(batch.jobs[1].error.rfind("[FP-INVALID] ", 0), 0u)
+      << batch.jobs[1].error;
+  EXPECT_EQ(batch.jobs[1].exit_code, 2);
   EXPECT_EQ(batch.failed_count(), 1);
 }
 

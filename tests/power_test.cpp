@@ -506,10 +506,12 @@ TEST(Solver, ColdCgIterationsStayFlatOnTable1Pads) {
 // last tick of a finished solve is its iteration count.
 TEST(Solver, PollsEveryCgIteration) {
   const PowerGrid grid = table1_grid(1, 1, 64);
-  obs::set_progress_capture(true);
+  const std::string heartbeat = ::testing::TempDir() + "solver_polls.hb";
+  obs::set_progress_heartbeat(heartbeat);
   const SolveResult result = solve(grid);
   const obs::ProgressSnapshot snapshot = obs::progress_snapshot();
-  obs::set_progress_capture(false);
+  obs::set_progress_heartbeat("");
+  std::remove(heartbeat.c_str());
   ASSERT_TRUE(result.converged);
   ASSERT_TRUE(snapshot.valid);
   EXPECT_EQ(snapshot.stage, "solver");

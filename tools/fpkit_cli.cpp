@@ -549,7 +549,7 @@ int cmd_batch(const ArgParser& args) {
       g_artifact.jobs.emplace_back(
           "jobs/job" + std::to_string(i),
           job.ok ? job_manifest(job.label, jobs[i].options, job.result)
-                 : job_manifest(job.label, job.error, 4));
+                 : job_manifest(job.label, job.error, job.exit_code));
     }
   }
   std::printf("batch: %zu job(s) on %d thread(s), %.3f s\n",
@@ -568,25 +568,23 @@ int cmd_batch(const ArgParser& args) {
                 job.result.ir_final.max_drop_v * 1e3,
                 job.result.bonding_final.omega, job.result.runtime_s);
   }
-  if (sig::interrupted()) {
-    // Graceful drain: in-flight jobs kept their best-so-far results and
-    // every artifact was still written; skipped jobs say so in their
-    // error text. Interruption outranks the failed/degraded codes.
+  // Graceful drain: in-flight jobs kept their best-so-far results and
+  // every artifact was still written; skipped jobs say so in their error
+  // text. Interruption outranks the failed/degraded codes.
+  const int code = sweep_exit_code(
+      sig::interrupted(), static_cast<std::size_t>(batch.failed_count()), 0,
+      static_cast<std::size_t>(batch.degraded_count()));
+  if (code == 5) {
     std::fprintf(stderr,
                  "fpkit: batch interrupted; artifacts flushed "
                  "(exit code 5)\n");
-    return 5;
-  }
-  if (batch.failed_count() > 0) {
+  } else if (code == 4) {
     std::fprintf(stderr, "fpkit: %d batch job(s) failed (exit code 4)\n",
                  batch.failed_count());
-    return 4;
-  }
-  if (batch.degraded_count() > 0) {
+  } else if (code == 3) {
     std::fprintf(stderr, "fpkit: degraded batch result (exit code 3)\n");
-    return 3;
   }
-  return 0;
+  return code;
 }
 
 /// The fpkit binary itself, for the farm's self-exec'd workers. argv[0]
@@ -623,15 +621,15 @@ void print_farm_outcome(const farm::FarmOutcome& outcome,
               outcome.degraded, outcome.failed, outcome.retries,
               outcome.crashes, outcome.timeouts, outcome.runtime_s);
   std::printf("wrote farm artifact %s\n", dir.c_str());
-  if (outcome.interrupted) {
+  if (outcome.exit_code == 5) {
     std::fprintf(stderr,
                  "fpkit farm: interrupted; journal flushed -- finish with "
                  "`fpkit farm --resume %s` (exit code 5)\n",
                  dir.c_str());
-  } else if (outcome.failed > 0) {
+  } else if (outcome.exit_code == 4) {
     std::fprintf(stderr, "fpkit farm: %zu job(s) failed (exit code 4)\n",
                  outcome.failed);
-  } else if (outcome.degraded > 0) {
+  } else if (outcome.exit_code == 3) {
     std::fprintf(stderr, "fpkit farm: degraded result (exit code 3)\n");
   }
 }
@@ -993,7 +991,7 @@ constexpr Flag kFarmFlags[] = {
     {"workers", "N", "worker processes (default 2)"},
     {"max-attempts", "K", "attempts per job (default 3)"},
     {"job-timeout", "S", "wall-clock cap per attempt"},
-    {"hang-timeout", "S", "heartbeat-silence cap per attempt"},
+    {"hang-timeout", "S", "progress-silence cap per attempt"},
     {"retry-base-ms", "M", "retry backoff base (default 250)"},
     {"backoff-seed", "S", "retry jitter seed (default 1)"},
     {"resume", "<dir>", "finish an interrupted or killed farm"},
@@ -1130,18 +1128,11 @@ ObsPaths arm_observability(const ArgParser& args, bool recorder) {
     }
   }
   // Live progress heartbeat (docs/DASHBOARD.md): stderr-only, bit-
-  // identical results either way. FPKIT_PROGRESS_CAPTURE arms the
-  // silent capture mode (farm workers: ticks feed the heartbeat file,
-  // nothing is rendered).
+  // identical results either way.
   if (args.has("progress")) {
     obs::set_progress_enabled(true);
   } else {
     obs::arm_progress_from_env();
-  }
-  if (const char* env = std::getenv("FPKIT_PROGRESS_CAPTURE")) {
-    if (*env != '\0' && std::string_view(env) != "0") {
-      obs::set_progress_capture(true);
-    }
   }
   // The flight recorder wants the full flight: an armed artifact dir
   // turns on both metrics and tracing.
