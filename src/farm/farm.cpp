@@ -690,12 +690,14 @@ FarmOutcome run_supervisor(const std::string& exe, FarmJournal& journal) {
     }
 
     // Reap phase; also enforce wall/heartbeat caps on the still-running.
+    bool reaped = false;
     for (std::size_t i = 0; i < slots.size();) {
       Slot& slot = slots[i];
       exec::ExitStatus status;
       if (slot.child.try_wait(status)) {
         handle_done(slot, status);
         slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(i));
+        reaped = true;
         continue;
       }
       const double elapsed = slot.started.seconds();
@@ -726,7 +728,14 @@ FarmOutcome run_supervisor(const std::string& exe, FarmJournal& journal) {
       render_farm_progress(journal.state(), slots, wall.seconds(),
                            /*final=*/false);
     }
-    std::this_thread::sleep_for(kPollInterval);
+    // A reap that freed a slot for a due job launches it on the next lap
+    // at once instead of a poll interval later.
+    const bool launch_now =
+        reaped && !draining &&
+        std::any_of(pending.begin(), pending.end(), [](const PendingJob& p) {
+          return p.ready_at <= Clock::now();
+        });
+    if (!launch_now) std::this_thread::sleep_for(kPollInterval);
   }
 
   const FarmOutcome outcome =

@@ -108,7 +108,7 @@ struct Comparer {
 
   /// Walks the union of two sorted JSON objects of numbers.
   void object_union(const std::string& kind, const Json* a, const Json* b) {
-    const std::map<std::string, Json> empty;
+    const Json::Members empty;
     const auto& fa = (a != nullptr && a->is_object()) ? a->fields() : empty;
     const auto& fb = (b != nullptr && b->is_object()) ? b->fields() : empty;
     auto ia = fa.begin();
@@ -461,26 +461,30 @@ CompareReport compare_artifacts(const std::string& dir_a,
                           b.metrics.find("counters"));
     comparer.object_union("gauge", a.metrics.find("gauges"),
                           b.metrics.find("gauges"));
+    // The member `name` of `object`, or null (also for a missing object).
+    const auto member = [](const Json* object, const std::string& name) {
+      return object != nullptr ? object->find(name) : nullptr;
+    };
     const Json* ha = a.metrics.find("histograms");
     const Json* hb = b.metrics.find("histograms");
-    const std::map<std::string, Json> empty;
+    const Json::Members empty;
     const auto& fa = (ha != nullptr && ha->is_object()) ? ha->fields() : empty;
     const auto& fb = (hb != nullptr && hb->is_object()) ? hb->fields() : empty;
     for (const auto& [name, hist] : fa) {
-      const auto it = fb.find(name);
-      if (it == fb.end()) {
+      const Json* other = member(hb, name);
+      if (other == nullptr) {
         comparer.one_sided("histogram", name + ".count",
                            hist.at("count").as_number(), true);
         continue;
       }
       comparer.value("histogram", name + ".count",
                      hist.at("count").as_number(),
-                     it->second.at("count").as_number());
+                     other->at("count").as_number());
       comparer.value("histogram", name + ".sum", hist.at("sum").as_number(),
-                     it->second.at("sum").as_number());
+                     other->at("sum").as_number());
     }
     for (const auto& [name, hist] : fb) {
-      if (fa.find(name) == fa.end()) {
+      if (member(ha, name) == nullptr) {
         comparer.one_sided("histogram", name + ".count",
                            hist.at("count").as_number(), false);
       }
@@ -492,19 +496,19 @@ CompareReport compare_artifacts(const std::string& dir_a,
     const auto& series_b =
         (sb != nullptr && sb->is_object()) ? sb->fields() : empty;
     for (const auto& [name, series] : series_a) {
-      const auto it = series_b.find(name);
+      const Json* other = member(sb, name);
       const double rows_a =
           static_cast<double>(series.at("rows").items().size());
-      if (it == series_b.end()) {
+      if (other == nullptr) {
         comparer.one_sided("series", name + ".rows", rows_a, true);
       } else {
         comparer.value("series", name + ".rows", rows_a,
                        static_cast<double>(
-                           it->second.at("rows").items().size()));
+                           other->at("rows").items().size()));
       }
     }
     for (const auto& [name, series] : series_b) {
-      if (series_a.find(name) == series_a.end()) {
+      if (member(sa, name) == nullptr) {
         comparer.one_sided(
             "series", name + ".rows",
             static_cast<double>(series.at("rows").items().size()), false);

@@ -1,8 +1,10 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <system_error>
 
@@ -18,7 +20,15 @@ namespace {
                         std::to_string(static_cast<int>(got)));
 }
 
-class Parser {
+/// Whether `member`'s key sorts before `key`, in std::string's byte order.
+bool key_before(const std::pair<std::string, Json>& member,
+                std::string_view key) {
+  return member.first < key;
+}
+
+}  // namespace
+
+class Json::Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
@@ -73,34 +83,62 @@ class Parser {
       return value;
     }
     if (c == '"') return Json::string(parse_string());
-    if (consume_literal("true")) return Json::boolean(true);
-    if (consume_literal("false")) return Json::boolean(false);
-    if (consume_literal("null")) return Json();
+    if (c == 't' && consume_literal("true")) return Json::boolean(true);
+    if (c == 'f' && consume_literal("false")) return Json::boolean(false);
+    if (c == 'n' && consume_literal("null")) return Json();
     return parse_number();
   }
 
+  /// Appends the members as they come and sorts them once at '}',
+  /// stably, so the last of duplicate keys wins: O(n log n) in any key
+  /// order.
   Json parse_object() {
-    Json value = Json::object();
+    Members members;
     expect('{');
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return value;
+      return Json(std::move(members));
     }
+    members.reserve(4);
     while (true) {
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      value.set(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value());
       skip_ws();
       if (peek() == ',') {
         ++pos_;
         continue;
       }
       expect('}');
-      return value;
+      sort_members(members);
+      return Json(std::move(members));
     }
+  }
+
+  static void sort_members(Members& members) {
+    const auto before = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    const auto not_before = [&](const auto& a, const auto& b) {
+      return !before(a, b);
+    };
+    if (std::adjacent_find(members.begin(), members.end(), not_before) ==
+        members.end()) {
+      return;  // already strictly ascending, as fpkit writes them
+    }
+    std::stable_sort(members.begin(), members.end(), before);
+    // Keep the last member of each run of equal keys.
+    auto kept = members.begin();
+    for (auto it = members.begin(); it != members.end(); ++it) {
+      const auto next = std::next(it);
+      if (next != members.end() && next->first == it->first) continue;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+    members.erase(kept, members.end());
   }
 
   Json parse_array() {
@@ -127,14 +165,19 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("raw control character");
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -209,18 +252,22 @@ class Parser {
 
   bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
 
-  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, converted with
-  /// std::from_chars. A value beyond +-DBL_MAX, or a nonzero one that
-  /// rounds to 0, is an error.
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. An integer of at
+  /// most 15 digits is exact in a double and converts as an integer (-0
+  /// stays -0.0); any other token goes through std::from_chars. A value
+  /// beyond +-DBL_MAX, or a nonzero one that rounds to 0, is an error.
   Json parse_number() {
     const std::size_t start = pos_;
-    if (at('-')) ++pos_;
+    const bool negative = at('-');
+    if (negative) ++pos_;
+    const std::size_t digits_start = pos_;
     if (at('0')) {
       ++pos_;
     } else if (skip_digits() == 0) {
       if (pos_ == start) fail("expected a value");
       fail("malformed number");
     }
+    const std::size_t digits_end = pos_;
     if (at('.')) {
       ++pos_;
       if (skip_digits() == 0) fail("malformed number");
@@ -229,6 +276,14 @@ class Parser {
       ++pos_;
       if (at('+') || at('-')) ++pos_;
       if (skip_digits() == 0) fail("malformed number");
+    }
+    if (pos_ == digits_end && digits_end - digits_start <= 15) {
+      std::int64_t magnitude = 0;
+      for (std::size_t i = digits_start; i < pos_; ++i) {
+        magnitude = magnitude * 10 + (text_[i] - '0');
+      }
+      const auto value = static_cast<double>(magnitude);
+      return Json::number(negative ? -value : value);
     }
     const char* first = text_.data() + start;
     const char* last = text_.data() + pos_;
@@ -245,68 +300,43 @@ class Parser {
   int depth_ = 0;  // open arrays/objects around pos_
 };
 
-}  // namespace
+Json Json::boolean(bool value) { return Json(value); }
 
-Json Json::boolean(bool value) {
-  Json json;
-  json.kind_ = Kind::Bool;
-  json.bool_ = value;
-  return json;
-}
-
-Json Json::number(double value) {
-  Json json;
-  json.kind_ = Kind::Number;
-  json.number_ = value;
-  return json;
-}
+Json Json::number(double value) { return Json(value); }
 
 Json Json::number(long long value) {
   return number(static_cast<double>(value));
 }
 
-Json Json::string(std::string value) {
-  Json json;
-  json.kind_ = Kind::String;
-  json.string_ = std::move(value);
-  return json;
-}
+Json Json::string(std::string value) { return Json(std::move(value)); }
 
-Json Json::array() {
-  Json json;
-  json.kind_ = Kind::Array;
-  return json;
-}
+Json Json::array() { return Json(std::vector<Json>()); }
 
-Json Json::object() {
-  Json json;
-  json.kind_ = Kind::Object;
-  return json;
-}
+Json Json::object() { return Json(Members()); }
 
 bool Json::as_bool() const {
-  if (kind_ != Kind::Bool) kind_error("bool", kind_);
-  return bool_;
+  if (kind() != Kind::Bool) kind_error("bool", kind());
+  return std::get<bool>(value_);
 }
 
 double Json::as_number() const {
-  if (kind_ != Kind::Number) kind_error("number", kind_);
-  return number_;
+  if (kind() != Kind::Number) kind_error("number", kind());
+  return std::get<double>(value_);
 }
 
 const std::string& Json::as_string() const {
-  if (kind_ != Kind::String) kind_error("string", kind_);
-  return string_;
+  if (kind() != Kind::String) kind_error("string", kind());
+  return std::get<std::string>(value_);
 }
 
 const std::vector<Json>& Json::items() const {
-  if (kind_ != Kind::Array) kind_error("array", kind_);
-  return array_;
+  if (kind() != Kind::Array) kind_error("array", kind());
+  return std::get<std::vector<Json>>(value_);
 }
 
-const std::map<std::string, Json>& Json::fields() const {
-  if (kind_ != Kind::Object) kind_error("object", kind_);
-  return object_;
+const Json::Members& Json::fields() const {
+  if (kind() != Kind::Object) kind_error("object", kind());
+  return std::get<Members>(value_);
 }
 
 const Json& Json::at(std::string_view key) const {
@@ -318,20 +348,39 @@ const Json& Json::at(std::string_view key) const {
 }
 
 const Json* Json::find(std::string_view key) const {
-  if (kind_ != Kind::Object) return nullptr;
-  const auto it = object_.find(std::string(key));
-  return it == object_.end() ? nullptr : &it->second;
+  const Members* members = std::get_if<Members>(&value_);
+  if (members == nullptr) return nullptr;
+  const auto it =
+      std::lower_bound(members->begin(), members->end(), key, key_before);
+  return it != members->end() && it->first == key ? &it->second : nullptr;
+}
+
+Json* Json::find(std::string_view key) {
+  return const_cast<Json*>(std::as_const(*this).find(key));
 }
 
 Json& Json::set(std::string key, Json value) {
-  if (kind_ != Kind::Object) kind_error("object", kind_);
-  object_.insert_or_assign(std::move(key), std::move(value));
+  Members* members = std::get_if<Members>(&value_);
+  if (members == nullptr) kind_error("object", kind());
+  if (members->empty() || members->back().first < key) {
+    if (members->empty()) members->reserve(4);
+    members->emplace_back(std::move(key), std::move(value));
+    return *this;
+  }
+  const auto it = std::lower_bound(members->begin(), members->end(),
+                                   std::string_view(key), key_before);
+  if (it->first == key) {
+    it->second = std::move(value);
+  } else {
+    members->emplace(it, std::move(key), std::move(value));
+  }
   return *this;
 }
 
 Json& Json::push(Json value) {
-  if (kind_ != Kind::Array) kind_error("array", kind_);
-  array_.push_back(std::move(value));
+  std::vector<Json>* items = std::get_if<std::vector<Json>>(&value_);
+  if (items == nullptr) kind_error("array", kind());
+  items->push_back(std::move(value));
   return *this;
 }
 
@@ -341,6 +390,17 @@ void json_append_number(std::string& out, double value) {
     return;
   }
   char buf[32];  // "%.17g" needs at most 24: -d.dddddddddddddddde-ddd
+  // An integer below 10^15 (other than -0) prints as its digits under
+  // "%.17g" too; the integer conversion writes them faster.
+  if (std::fabs(value) < 1e15) {
+    const auto integer = static_cast<std::int64_t>(value);
+    if (static_cast<double>(integer) == value &&
+        (integer != 0 || !std::signbit(value))) {
+      const auto written = std::to_chars(buf, buf + sizeof buf, integer);
+      out.append(buf, written.ptr);
+      return;
+    }
+  }
   const auto written = std::to_chars(buf, buf + sizeof buf, value,
                                      std::chars_format::general, 17);
   out.append(buf, written.ptr);
@@ -349,7 +409,14 @@ void json_append_number(std::string& out, double value) {
 void json_append_quoted(std::string& out, std::string_view text) {
   static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char c : text) {
+  std::size_t run = 0;  // start of the bytes not yet appended
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -364,15 +431,12 @@ void json_append_quoted(std::string& out, std::string_view text) {
         out += "\\t";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += kHex[c >> 4];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(text.data() + run, text.size() - run);
   out += '"';
 }
 
@@ -390,29 +454,31 @@ std::string json_quote(std::string_view text) {
 
 std::string Json::dump() const {
   std::string out;
+  out.reserve(128);  // a serve response or journal event in one allocation
   dump_into(out);
   return out;
 }
 
 void Json::dump_into(std::string& out) const {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::Null:
       out += "null";
       return;
     case Kind::Bool:
-      out += bool_ ? "true" : "false";
+      out += std::get<bool>(value_) ? "true" : "false";
       return;
     case Kind::Number:
-      json_append_number(out, number_);
+      json_append_number(out, std::get<double>(value_));
       return;
     case Kind::String:
-      json_append_quoted(out, string_);
+      json_append_quoted(out, std::get<std::string>(value_));
       return;
     case Kind::Array: {
       out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      const auto& items = std::get<std::vector<Json>>(value_);
+      for (std::size_t i = 0; i < items.size(); ++i) {
         if (i) out += ',';
-        array_[i].dump_into(out);
+        items[i].dump_into(out);
       }
       out += ']';
       return;
@@ -420,7 +486,7 @@ void Json::dump_into(std::string& out) const {
     case Kind::Object: {
       out += '{';
       bool first = true;
-      for (const auto& [key, value] : object_) {
+      for (const auto& [key, value] : std::get<Members>(value_)) {
         if (!first) out += ',';
         first = false;
         json_append_quoted(out, key);
@@ -434,7 +500,7 @@ void Json::dump_into(std::string& out) const {
 }
 
 Json json_parse(std::string_view text) {
-  return Parser(text).parse_document();
+  return Json::Parser(text).parse_document();
 }
 
 Json json_load(const std::string& path) {

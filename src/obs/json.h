@@ -4,28 +4,33 @@
 // The grammar is deliberately strict -- objects, arrays, strings,
 // numbers, booleans and null; no trailing commas, no comments, no
 // NaN/Infinity literals -- so every document fpkit writes can be read
-// back by any off-the-shelf JSON tool. dump() is canonical: object keys
-// are emitted in sorted order and numbers in the bytes of "%.17g" (which
-// round-trips every finite double), so parse(dump(v)) followed by another
-// dump() reproduces the input byte for byte. The artifact round-trip tests
-// and `fpkit compare` both lean on that property. The metrics and trace
-// writers append through the same two helpers, json_append_number and
-// json_append_quoted.
+// back by any off-the-shelf JSON tool. A value is one tagged variant; an
+// object is its members kept sorted by key (the last of duplicate keys
+// wins), and find/at binary-search them. dump() is canonical: object keys
+// are emitted in that sorted order and numbers in the bytes of "%.17g"
+// (which round-trips every finite double), so parse(dump(v)) followed by
+// another dump() reproduces the input byte for byte. The artifact
+// round-trip tests and `fpkit compare` both lean on that property. The
+// metrics and trace writers append through the same two helpers,
+// json_append_number and json_append_quoted.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace fp::obs {
 
 class Json {
  public:
+  /// The variant's alternatives, in order.
   enum class Kind { Null, Bool, Number, String, Array, Object };
+  /// An object's members, sorted by key, each key once.
+  using Members = std::vector<std::pair<std::string, Json>>;
 
   Json() = default;
   static Json boolean(bool value);
@@ -35,28 +40,32 @@ class Json {
   static Json array();
   static Json object();
 
-  [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::Object; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::Array; }
-  [[nodiscard]] bool is_number() const { return kind_ == Kind::Number; }
-  [[nodiscard]] bool is_string() const { return kind_ == Kind::String; }
+  [[nodiscard]] Kind kind() const { return static_cast<Kind>(value_.index()); }
+  [[nodiscard]] bool is_object() const { return kind() == Kind::Object; }
+  [[nodiscard]] bool is_array() const { return kind() == Kind::Array; }
+  [[nodiscard]] bool is_number() const { return kind() == Kind::Number; }
+  [[nodiscard]] bool is_string() const { return kind() == Kind::String; }
 
   /// Value accessors; each throws InvalidArgument on a kind mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<Json>& items() const;
-  [[nodiscard]] const std::map<std::string, Json>& fields() const;
+  [[nodiscard]] const Members& fields() const;
 
   /// Object lookup; `at` throws InvalidArgument when the key is absent,
-  /// `find` returns null on a miss (also on non-objects).
+  /// `find` returns null on a miss (also on non-objects). The mutable
+  /// `find` lets a caller move a member's value out.
   [[nodiscard]] const Json& at(std::string_view key) const;
   [[nodiscard]] const Json* find(std::string_view key) const;
+  [[nodiscard]] Json* find(std::string_view key);
   [[nodiscard]] bool has(std::string_view key) const {
     return find(key) != nullptr;
   }
 
   /// Object/array builders (the value must already be of that kind).
+  /// `set` replaces an existing key's value; a key that sorts after every
+  /// other is an append.
   Json& set(std::string key, Json value);
   Json& push(Json value);
 
@@ -64,14 +73,16 @@ class Json {
   [[nodiscard]] std::string dump() const;
 
  private:
+  class Parser;
+  friend Json json_parse(std::string_view text);
+
+  using Value = std::variant<std::monostate, bool, double, std::string,
+                             std::vector<Json>, Members>;
+  explicit Json(Value value) : value_(std::move(value)) {}
+
   void dump_into(std::string& out) const;
 
-  Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> array_;
-  std::map<std::string, Json> object_;
+  Value value_;
 };
 
 /// Deepest array/object nesting json_parse accepts. The parser recurses

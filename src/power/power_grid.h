@@ -63,6 +63,10 @@ class PowerGrid {
   [[nodiscard]] bool is_pad(int x, int y) const {
     return pad_mask_(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
   }
+  /// Row y of the pad mask: node (x, y) is a pad when pad_row(y)[x] != 0.
+  [[nodiscard]] const unsigned char* pad_row(int y) const {
+    return &pad_mask_(0, static_cast<std::size_t>(y));
+  }
 
   /// Load current drawn at node (x, y), amps.
   [[nodiscard]] double node_current(int x, int y) const;

@@ -356,6 +356,10 @@ struct System {
 /// g * Vdd for every link to a pad (neighbours left, right, down, up) and
 /// |b|^2, summed in x order. Along a row the pad tests slide: node x + 1's
 /// is read once, as the right neighbour, the node and the left neighbour.
+/// Rows y - 1, y and y + 1 of the grid's mask, the slot vectors and the
+/// load map are held in locals: a byte store may alias any object, so
+/// what is read through `grid` or `m` would be reloaded after each pad's
+/// mark. A row off the die reads as no pads.
 System build_system(const PowerGrid& grid) {
   const int k = grid.k();
   System sys{empty_mesh(k, grid.gx(), grid.gy()), 1.0};
@@ -363,25 +367,34 @@ System build_system(const PowerGrid& grid) {
   const PowerGrid::LoadMap loads = grid.load_map();
   const double gx_vdd = m.gx * grid.spec().vdd;
   const double gy_vdd = m.gy * grid.spec().vdd;
+  const std::vector<unsigned char> no_pads(static_cast<std::size_t>(k), 0);
   const double bb = sum_rows(k, m.nodes(), [&](int y) {
     const std::size_t first =  // node (0, y) in the grid's row-major maps
         static_cast<std::size_t>(y) * static_cast<std::size_t>(k);
     const RowSlots slot(m, y);
+    const PowerGrid::LoadMap row_loads = loads;
+    double* const b_slots = m.b.data();
+    unsigned char* const pad_slots = m.pad.data();
+    const unsigned char* const row = grid.pad_row(y);
+    const unsigned char* const below =
+        y > 0 ? grid.pad_row(y - 1) : no_pads.data();
+    const unsigned char* const above =
+        y + 1 < k ? grid.pad_row(y + 1) : no_pads.data();
     double bb_row = 0.0;
     bool left = false;
-    bool here = grid.is_pad(0, y);
+    bool here = row[0] != 0;
     for (int x = 0; x < k; ++x) {
-      const bool right = x + 1 < k && grid.is_pad(x + 1, y);
+      const bool right = x + 1 < k && row[x + 1] != 0;
       const std::size_t i = slot(x);
       if (here) {
-        m.pad[i] = 1;
+        pad_slots[i] = 1;
       } else {
-        double b = -loads.at(first + static_cast<std::size_t>(x));
+        double b = -row_loads.at(first + static_cast<std::size_t>(x));
         if (left) b += gx_vdd;
         if (right) b += gx_vdd;
-        if (y > 0 && grid.is_pad(x, y - 1)) b += gy_vdd;
-        if (y + 1 < k && grid.is_pad(x, y + 1)) b += gy_vdd;
-        m.b[i] = b;
+        if (below[x] != 0) b += gy_vdd;
+        if (above[x] != 0) b += gy_vdd;
+        b_slots[i] = b;
         bb_row += b * b;
       }
       left = here;

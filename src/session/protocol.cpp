@@ -1,6 +1,7 @@
 #include "session/protocol.h"
 
 #include <cmath>
+#include <utility>
 
 namespace fp {
 namespace {
@@ -30,22 +31,24 @@ ServeRequest parse_request(const std::string& line) {
   if (!doc.is_object()) {
     throw ProtocolError("request must be a JSON object");
   }
+  // The request takes its values out of the parsed document.
   ServeRequest request;
-  if (const obs::Json* id = doc.find("id")) request.id = *id;
+  if (obs::Json* id = doc.find("id")) request.id = std::move(*id);
   const obs::Json* method = doc.find("method");
   if (method == nullptr || !method->is_string()) {
     throw ProtocolError("request needs a string \"method\"");
   }
   request.method = method->as_string();
-  if (const obs::Json* params = doc.find("params")) {
+  if (obs::Json* params = doc.find("params")) {
     if (!params->is_object()) {
       throw ProtocolError("\"params\" must be an object");
     }
-    request.params = *params;
+    request.params = std::move(*params);
   }
   return request;
 }
 
+// Both responses set their keys in sorted order, so each set appends.
 obs::Json ok_response(const obs::Json& id, obs::Json result) {
   obs::Json response = obs::Json::object();
   response.set("id", id);
@@ -60,9 +63,9 @@ obs::Json error_response(const obs::Json& id, ErrorCode code,
   error.set("code", obs::Json::string(std::string(to_string(code))));
   error.set("message", obs::Json::string(message));
   obs::Json response = obs::Json::object();
+  response.set("error", std::move(error));
   response.set("id", id);
   response.set("ok", obs::Json::boolean(false));
-  response.set("error", std::move(error));
   return response;
 }
 

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <istream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -381,8 +382,10 @@ ServeOutcome run_serve(LineSource& source, std::ostream& out,
     try {
       const ServeRequest request = parse_request(line);
       id = request.id;
-      const obs::ScopedSpan request_span("serve." + request.method,
-                                         "serve");
+      std::optional<obs::ScopedSpan> request_span;
+      if (obs::tracing_enabled()) {
+        request_span.emplace("serve." + request.method, "serve");
+      }
       if (obs::metrics_enabled()) {
         obs::count("serve.requests");
         obs::count("serve.method." + request.method);

@@ -60,6 +60,75 @@ TEST(ArtifactJson, DumpIsCanonicalAndRoundTrips) {
   EXPECT_EQ(back.at("alpha").as_string(), "a \"b\"\n\t\\");
 }
 
+// dump()'s exact bytes, pinned from the std::map-backed value it replaced:
+// keys in byte order whatever order they were set or parsed in, the last
+// duplicate winning, empty containers, nesting, and keys that need
+// escaping or are not ASCII.
+TEST(ArtifactJson, DumpBytesArePinned) {
+  obs::Json built = obs::Json::object();
+  built.set("zeta", obs::Json::number(3.0));
+  built.set("beta", obs::Json::string("b"));
+  built.set("alpha", obs::Json::boolean(false));
+  built.set("mu", obs::Json());
+  built.set("Zed", obs::Json::number(-0.0));
+  built.set("", obs::Json::array());
+  built.set("alpha2", obs::Json::object());
+  built.set("beta", obs::Json::number(2.5));  // replaces "b"
+  built.set("a", obs::Json::number(1e300));
+  EXPECT_EQ(built.dump(),
+            R"({"":[],"Zed":-0,"a":1.0000000000000001e+300,"alpha":false,)"
+            R"("alpha2":{},"beta":2.5,"mu":null,"zeta":3})");
+
+  obs::Json list = obs::Json::array();
+  obs::Json first = obs::Json::object();
+  first.set("z", obs::Json::number(1.0));
+  first.set("a", obs::Json::number(2.0));
+  list.push(std::move(first));
+  obs::Json second = obs::Json::object();
+  obs::Json inner = obs::Json::array();
+  obs::Json leaf = obs::Json::object();
+  leaf.set("y", obs::Json::boolean(true));
+  leaf.set("b", obs::Json());
+  inner.push(std::move(leaf));
+  inner.push(obs::Json::object());
+  second.set("m", std::move(inner));
+  list.push(std::move(second));
+  obs::Json outer = obs::Json::object();
+  outer.set("list", std::move(list));
+  outer.set("k", obs::Json::number(0.0));
+  obs::Json nested = obs::Json::object();
+  nested.set("outer", std::move(outer));
+  const std::string nested_text =
+      R"({"outer":{"k":0,"list":[{"a":2,"z":1},)"
+      R"({"m":[{"b":null,"y":true},{}]}]}})";
+  EXPECT_EQ(nested.dump(), nested_text);
+
+  const std::vector<std::pair<std::string, std::string>> parsed = {
+      {R"({"b":1,"a":2,"b":3,"a":{"x":1},"c":[],"a":"last"})",
+       R"({"a":"last","b":3,"c":[]})"},
+      {R"({"k":1,"k":2,"k":3})", R"({"k":3})"},
+      {R"( { "d" : [ ] , "c" : { } , "b" : [ { } ] , "a" : [ [ ] ] } )",
+       R"({"a":[[]],"b":[{}],"c":{},"d":[]})"},
+      {"{}", "{}"},
+      {"[]", "[]"},
+      {R"([{},[],{"e":{"f":{}}}])", R"([{},[],{"e":{"f":{}}}])"},
+      {R"({"outer":{"list":[{"z":1,"a":2},)"
+       R"({"m":[{"y":true,"b":null},{}]}],"k":0}})",
+       nested_text},
+      {"{\"\\u00e9t\\u00e9\":1,\"\xc3\xa9t\xc3\xa9\":2,\"k\\\"q\":3,"
+       "\"k\\\\b\":4,\"tab\\there\":5,\"\\u0001ctl\":6,\"\\u20ac\":7,"
+       "\"ascii\":8,\"\\n\":9,\"\\/\\b\\f\\r\":10,\"Z\":11}",
+       "{\"\\u0001ctl\":6,\"\\n\":9,\"/\\u0008\\u000c\\u000d\":10,\"Z\":11,"
+       "\"ascii\":8,\"k\\\"q\":3,\"k\\\\b\":4,\"tab\\there\":5,"
+       "\"\xc3\xa9t\xc3\xa9\":2,\"\xe2\x82\xac\":7}"},
+  };
+  for (const auto& [input, expected] : parsed) {
+    const std::string text = obs::json_parse(input).dump();
+    EXPECT_EQ(text, expected) << input;
+    EXPECT_EQ(obs::json_parse(text).dump(), text) << input;
+  }
+}
+
 TEST(ArtifactJson, StrictParserRejectsMalformedDocuments) {
   EXPECT_THROW((void)obs::json_parse("{\"a\":1,}"), InvalidArgument);
   EXPECT_THROW((void)obs::json_parse("[1 2]"), InvalidArgument);
@@ -81,6 +150,54 @@ TEST(ArtifactJson, StrictParserRejectsMalformedDocuments) {
   }
   EXPECT_EQ(obs::json_parse("-0.5e-3").as_number(), -0.5e-3);
   EXPECT_EQ(obs::json_parse("0E+2").as_number(), 0.0);
+}
+
+// The reader's exact error text, offsets included: serve's FP-PROTO
+// responses carry it to the client.
+TEST(ArtifactJson, ParseErrorTextIsPinned) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"{\"a\":1,}", "offset 7: expected '\"'"},
+      {"[1 2]", "offset 3: expected ']'"},
+      {"{\"a\":1} x", "offset 8: trailing characters"},
+      {"NaN", "offset 0: expected a value"},
+      {"Infinity", "offset 0: expected a value"},
+      {"", "offset 0: unexpected end of input"},
+      {"{'a':1}", "offset 1: expected '\"'"},
+      {"{\"a\"}", "offset 4: expected ':'"},
+      {"+5", "offset 0: expected a value"},
+      {".5", "offset 0: expected a value"},
+      {"5.", "offset 2: malformed number"},
+      {"01", "offset 1: trailing characters"},
+      {"1.e5", "offset 2: malformed number"},
+      {"-.5", "offset 1: malformed number"},
+      {"1e", "offset 2: malformed number"},
+      {"-", "offset 1: malformed number"},
+      {"{\"id\":+5}", "offset 6: expected a value"},
+      {"[1.5e+]", "offset 6: malformed number"},
+      {"1e400", "offset 5: number out of range '1e400'"},
+      {"-1.8e308", "offset 8: number out of range '-1.8e308'"},
+      {"1e-400", "offset 6: number out of range '1e-400'"},
+      {"tru", "offset 0: expected a value"},
+      {"[nul]", "offset 1: expected a value"},
+      {"{\"a\":fals}", "offset 5: expected a value"},
+      {"\"abc", "offset 4: unterminated string"},
+      {"{\"key", "offset 5: unterminated string"},
+      {"\"a\\qb\"", "offset 4: unknown escape"},
+      {"\"abc\\", "offset 5: unterminated escape"},
+      {"\"\\u12\"", "offset 3: truncated \\u escape"},
+      {"\"\\u12x4\"", "offset 6: bad \\u escape digit"},
+      {"\"a\tb\"", "offset 3: raw control character"},
+      {std::string(257, '['), "offset 256: nesting deeper than 256"},
+  };
+  for (const auto& [input, expected] : cases) {
+    try {
+      (void)obs::json_parse(input);
+      ADD_FAILURE() << "accepted: " << input;
+    } catch (const InvalidArgument& error) {
+      EXPECT_EQ(std::string(error.what()), "json parse error at " + expected)
+          << input;
+    }
+  }
 }
 
 /// `depth` nested arrays: "[[...]]".
@@ -294,6 +411,18 @@ TEST(ArtifactJson, NumberTextMatchesPrintf) {
                                limits::denorm_min(), limits::max(),
                                -limits::max(), two53 - 1.0, two53 + 1.0,
                                0.1, 1.0 / 3.0};
+  // Integers, which the writer formats as integers below 10^15: all of
+  // [-2^16, 2^16], that bound's neighbours, and the powers of ten.
+  for (int i = -65536; i <= 65536; ++i) table.push_back(i);
+  for (const double edge : {1e15 - 1.0, 1e15, 1e15 + 1.0, two53, 1e16, 1e17,
+                            0.5, 1e15 - 0.5, 4503599627370495.5}) {
+    table.push_back(edge);
+    table.push_back(-edge);
+  }
+  for (double power = 1.0; power <= 1e22; power *= 10.0) {
+    table.push_back(power);
+    table.push_back(-power);
+  }
   std::mt19937_64 rng(20261018);
   for (int i = 0; i < 100000; ++i) {
     const std::uint64_t bits = rng();
@@ -313,6 +442,26 @@ TEST(ArtifactJson, NumberTextMatchesPrintf) {
     ASSERT_EQ(bits_of(obs::json_parse(text).as_number()), bits_of(value))
         << text;
   }
+}
+
+// Integer tokens of 15 digits or fewer (exact in a double) and longer ones
+// (rounded) read the bits strtod gives them; -0 keeps its sign.
+TEST(ArtifactJson, IntegerTokensParseToStrtodBits) {
+  for (const char* token :
+       {"0", "-0", "7", "-7", "100000000000000", "999999999999999",
+        "-999999999999999", "123456789012345", "1000000000000000",
+        "1234567890123456", "9007199254740993", "-9007199254740993",
+        "99999999999999999", "12345678901234567890"}) {
+    const double parsed = obs::json_parse(token).as_number();
+    EXPECT_EQ(bits_of(parsed), bits_of(std::strtod(token, nullptr)))
+        << token;
+    EXPECT_EQ(obs::json_parse(obs::json_number_text(parsed)).dump(),
+              obs::json_number_text(parsed))
+        << token;
+  }
+  EXPECT_TRUE(std::signbit(obs::json_parse("-0").as_number()));
+  EXPECT_FALSE(std::signbit(obs::json_parse("0").as_number()));
+  EXPECT_EQ(obs::json_parse("[0,-0,-0.0,10,-10]").dump(), "[0,-0,-0,10,-10]");
 }
 
 TEST(ArtifactJson, NumberTextClampsNonFinite) {
