@@ -1,7 +1,6 @@
 #include "exchange/exchange.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-#include "power/compact_model.h"
 #include "power/ir_analysis.h"
 #include "power/pad_ring.h"
 
@@ -18,13 +16,17 @@ namespace fp {
 ExchangeOptimizer::ExchangeOptimizer(const Package& package,
                                      ExchangeOptions options)
     : package_(&package), options_(std::move(options)),
-      tier_count_(package.netlist().tier_count()) {
+      tier_count_(package.netlist().tier_count()),
+      has_supply_(!package.netlist().supply_nets().empty()) {
   require(options_.lambda >= 0.0 && options_.rho >= 0.0 &&
               options_.phi >= 0.0,
           "ExchangeOptimizer: Eq.-(3) weights must be non-negative");
 }
 
 double ExchangeOptimizer::ir_cost(const PackageAssignment& assignment) const {
+  // A stacking design without supply nets has nothing for the IR term to
+  // optimise; the cost then reduces to rho*ID + phi*omega.
+  if (!has_supply_) return 0.0;
   if (options_.ir_mode == IrCostMode::Exact) {
     const IrReport report =
         analyze_ir(*package_, assignment, options_.grid_spec,
@@ -33,21 +35,6 @@ double ExchangeOptimizer::ir_cost(const PackageAssignment& assignment) const {
     // 1) so the published default weights remain sensible in both modes.
     return report.max_drop_v / std::max(1e-12, options_.grid_spec.vdd) * 10.0;
   }
-  if (options_.ir_mode == IrCostMode::Compact) {
-    const PadRing ring(*package_, options_.grid_spec.nodes_per_side);
-    const std::vector<IPoint> nodes = ring.supply_nodes(assignment);
-    if (nodes.empty()) return 0.0;
-    if (!compact_) {
-      compact_ =
-          std::make_unique<CompactIrModel>(PowerGrid(options_.grid_spec));
-      compact_->calibrate(nodes, options_.solver);
-    }
-    return compact_->estimate_max_drop(nodes) /
-           std::max(1e-12, options_.grid_spec.vdd) * 10.0;
-  }
-  // A stacking design without supply nets has nothing for the IR term to
-  // optimise; the cost then reduces to rho*ID + phi*omega.
-  if (package_->netlist().supply_nets().empty()) return 0.0;
   return supply_dispersion(assignment.ring_order(), package_->netlist());
 }
 
@@ -72,13 +59,11 @@ ExchangeResult ExchangeOptimizer::optimize_multistart(
     const PackageAssignment& initial, int starts) const {
   require(starts >= 1, "optimize_multistart: starts must be positive");
   if (starts == 1) return optimize(initial);
-  // Replicas are fully independent: each gets its own ExchangeOptimizer
-  // (so the mutable compact-model cache and the incremental-cost state
-  // stay replica-local), its own seed, and its own "sa.replica<i>" metric
-  // namespace -- concurrent replicas previously aliased one another's
-  // "sa.*" counters and the exported numbers were a thread-count-dependent
-  // jumble of all replicas. Results land in a slot keyed by replica index,
-  // so the selection below never depends on which worker finished first.
+  // Replicas are fully independent: each gets its own ExchangeOptimizer,
+  // its own seed, and its own "sa.replica<i>" metric namespace, so
+  // concurrent replicas never mix one another's "sa.*" counters. Results
+  // land in a slot keyed by replica index, so the selection below never
+  // depends on which worker finished first.
   std::vector<std::optional<ExchangeResult>> results(
       static_cast<std::size_t>(starts));
   exec::parallel_tasks(
@@ -144,7 +129,7 @@ ExchangeResult ExchangeOptimizer::optimize(
 
   // The swap engine holds the order, its position index and undo journal,
   // and the Eq.-(3) terms. Proxy mode reads the cost from it (O(psi) per
-  // swap); Compact/Exact modes re-solve their IR term on its order.
+  // swap); Exact mode re-solves its IR term on its order.
   IncrementalCost state(*package_, initial, options_.lambda, options_.rho,
                         options_.phi);
   const PackageAssignment& current = state.assignment();

@@ -13,14 +13,11 @@
 // growth estimate, and omega the stacking interleaving metric.
 #pragma once
 
-#include <memory>
-
 #include "exchange/annealer.h"
 #include "exchange/increased_density.h"
 #include "exchange/incremental_cost.h"
 #include "package/assignment.h"
 #include "package/package.h"
-#include "power/compact_model.h"
 #include "power/power_grid.h"
 #include "power/solver.h"
 #include "stack/stacking.h"
@@ -31,11 +28,8 @@ enum class IrCostMode {
   /// Supply-pad spacing dispersion along the ring (the paper's "variation
   /// of dx and dy"); constant-time, used inside the SA loop.
   Proxy,
-  /// Closed-form Shakeri-Meindl estimate (compact_model.h), calibrated by
-  /// one mesh solve on first use: hotspot-aware but still cheap.
-  Compact,
-  /// Full Eq.-(1) mesh solve per cost evaluation. Orders of magnitude
-  /// slower; pair with a light schedule (used for the Fig.-6 experiment).
+  /// Cold Eq.-(1) mesh solve per cost evaluation, about three orders of
+  /// magnitude slower (compared in bench_ablation_optimizer).
   Exact,
 };
 
@@ -91,8 +85,7 @@ class ExchangeOptimizer {
   const Package* package_;
   ExchangeOptions options_;
   int tier_count_;
-  /// Lazily built + calibrated on first Compact-mode evaluation.
-  mutable std::unique_ptr<CompactIrModel> compact_;
+  bool has_supply_;
 };
 
 }  // namespace fp

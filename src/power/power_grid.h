@@ -51,8 +51,7 @@ class PowerGrid {
   void add_hotspot(Rect region_fraction, double multiplier);
 
   /// Replaces the load model with an explicit per-node current map (amps);
-  /// spec().total_current_a and any hotspots are ignored afterwards. Used
-  /// by the floorplan module for additive module power.
+  /// spec().total_current_a and any hotspots are ignored afterwards.
   void set_explicit_currents(Grid2D<double> amps);
 
   /// Declares the Dirichlet (Vdd) nodes. Replaces any previous set.

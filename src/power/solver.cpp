@@ -1045,9 +1045,7 @@ SolveResult solve(const PowerGrid& grid, const SolverOptions& options) {
     // path the chain runs exactly one backend and the result is
     // bit-identical to a chain-free solve.
     std::vector<SolverKind> chain{options.kind};
-    if (options.fallback && options.kind != SolverKind::Sor) {
-      chain.push_back(SolverKind::Sor);
-    }
+    if (options.kind != SolverKind::Sor) chain.push_back(SolverKind::Sor);
     std::vector<SolveAttempt> attempts;
     for (const SolverKind kind : chain) {
       SolverOptions attempt_options = options;
@@ -1087,8 +1085,7 @@ SolveResult solve(const PowerGrid& grid, const SolverOptions& options) {
 double max_ir_drop(const PowerGrid& grid, const SolveResult& result) {
   require(result.stop != SolveStop::Diverged,
           "max_ir_drop: the solve diverged and its voltage field is "
-          "meaningless; keep SolverOptions::fallback on or inspect "
-          "SolveResult::attempts");
+          "meaningless; inspect SolveResult::attempts");
   double lowest = grid.spec().vdd;
   for (const double v : result.voltage.data()) lowest = std::min(lowest, v);
   return grid.spec().vdd - lowest;
@@ -1097,8 +1094,7 @@ double max_ir_drop(const PowerGrid& grid, const SolveResult& result) {
 double mean_ir_drop(const PowerGrid& grid, const SolveResult& result) {
   require(result.stop != SolveStop::Diverged,
           "mean_ir_drop: the solve diverged and its voltage field is "
-          "meaningless; keep SolverOptions::fallback on or inspect "
-          "SolveResult::attempts");
+          "meaningless; inspect SolveResult::attempts");
   double total = 0.0;
   for (const double v : result.voltage.data()) total += grid.spec().vdd - v;
   return result.voltage.size() > 0

@@ -41,14 +41,6 @@ struct SolverOptions {
   int max_iterations = 50000;
   /// Over-relaxation factor, used by Sor only.
   double sor_omega = 1.8;
-  /// When the chosen backend diverges (NaN or blowing-up residual),
-  /// fall back to Sor (the chain is ConjugateGradient -> Sor) instead of
-  /// returning garbage; the attempt history lands
-  /// in SolveResult::attempts. solve() throws SolverError when every
-  /// backend in the chain diverges. Divergence never happens on the SPD
-  /// meshes of power_grid.h, so this default does not change healthy
-  /// results.
-  bool fallback = true;
   /// Cooperative deadline: CG polls it every iteration, SOR every 8
   /// sweeps; on expiry they return best-so-far (stop = Budget,
   /// converged = false). Non-owning; null = unlimited.
@@ -100,9 +92,11 @@ struct SolveResult {
   std::vector<SolveAttempt> attempts;
 };
 
-/// Solves for the node voltages. Throws InvalidArgument when the grid has
-/// no pads (the system would be singular) and SolverError when every
-/// backend of the fallback chain diverges.
+/// Solves for the node voltages. A backend that diverges (NaN or a
+/// blowing-up residual) hands over to the next of the fallback chain
+/// ConjugateGradient -> Sor. Throws InvalidArgument when the grid has no
+/// pads (the system would be singular) and SolverError when every backend
+/// of the chain diverges.
 [[nodiscard]] SolveResult solve(const PowerGrid& grid,
                                 const SolverOptions& options = {});
 

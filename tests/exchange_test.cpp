@@ -313,23 +313,40 @@ TEST(Exchange, CostAccessorMatchesComposition) {
   EXPECT_NEAR(optimizer.cost(initial, id), expected, 1e-9);
 }
 
+// Exact mode scores every proposal with a cold solve, so its reported
+// cost is the cold recomputation of the returned order, to the bit. A
+// stacking design without supply nets has no IR term to score (0).
 TEST(Exchange, ExactIrModeRuns) {
-  const Package package = make_package(1);
-  const PackageAssignment initial = DfaAssigner().assign(package);
-  ExchangeOptions options = light_options();
-  options.ir_mode = IrCostMode::Exact;
-  options.grid_spec.nodes_per_side = 10;
-  options.schedule.initial_temperature = 1.0;
-  options.schedule.final_temperature = 0.5;
-  options.schedule.cooling = 0.8;
-  options.schedule.moves_per_temperature = 4;
-  const ExchangeOptimizer optimizer(package, options);
-  const ExchangeResult result = optimizer.optimize(initial);
-  EXPECT_GT(result.ir_cost_before, 0.0);
-  for (int qi = 0; qi < package.quadrant_count(); ++qi) {
-    EXPECT_TRUE(is_monotone_legal(
-        package.quadrant(qi),
-        result.assignment.quadrants[static_cast<std::size_t>(qi)]));
+  for (const double supply_fraction : {0.25, 0.0}) {
+    CircuitSpec spec = CircuitGenerator::table1(0);
+    spec.tier_count = supply_fraction > 0.0 ? 1 : 2;
+    spec.supply_fraction = supply_fraction;
+    const Package package = CircuitGenerator::generate(spec);
+    const PackageAssignment initial = DfaAssigner().assign(package);
+    ExchangeOptions options = light_options();
+    options.ir_mode = IrCostMode::Exact;
+    options.grid_spec.nodes_per_side = 10;
+    options.schedule.initial_temperature = 1.0;
+    options.schedule.final_temperature = 0.5;
+    options.schedule.cooling = 0.8;
+    options.schedule.moves_per_temperature = 4;
+    const ExchangeOptimizer optimizer(package, options);
+    const ExchangeResult result = optimizer.optimize(initial);
+    if (supply_fraction > 0.0) {
+      EXPECT_GT(result.ir_cost_before, 0.0);
+    } else {
+      EXPECT_EQ(result.ir_cost_before, 0.0);
+      EXPECT_EQ(result.ir_cost_after, 0.0);
+    }
+    EXPECT_EQ(result.anneal.final_cost,
+              optimizer.cost(result.assignment,
+                             IncreasedDensity(package, initial)));
+    EXPECT_EQ(result.anneal.final_cost, result.anneal.best_cost);
+    for (int qi = 0; qi < package.quadrant_count(); ++qi) {
+      EXPECT_TRUE(is_monotone_legal(
+          package.quadrant(qi),
+          result.assignment.quadrants[static_cast<std::size_t>(qi)]));
+    }
   }
 }
 

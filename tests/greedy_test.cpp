@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "assign/dfa.h"
 #include "exchange/greedy.h"
@@ -103,41 +104,34 @@ TEST(Greedy, InvalidInputsRejected) {
 
 // Greedy scores every probe from the swap engine, so its costs must be
 // the cold Eq.-(3) recomputation of the orders it reports, to the bit.
-// Compact mode is left out: its model calibrates on the first pad set it
-// sees, so a fresh optimizer is no bit-exact reference.
 TEST(Greedy, FinalCostEqualsColdRecomputation) {
-  for (const int circuit : {0, 4}) {
-    for (const int tiers : {1, 4}) {
-      CircuitSpec spec = CircuitGenerator::table1(circuit);
-      spec.tier_count = tiers;
-      const Package package = CircuitGenerator::generate(spec);
-      const PackageAssignment initial = DfaAssigner().assign(package);
-      const GreedyOptions options;
-      ASSERT_EQ(options.cost.ir_mode, IrCostMode::Proxy);
-      const ExchangeResult result =
-          GreedyExchanger(package, options).optimize(initial);
-      const IncreasedDensity baseline(package, initial);
-      const ExchangeOptimizer cold(package, options.cost);
-      EXPECT_GT(result.anneal.accepted, 0);
-      EXPECT_EQ(result.anneal.initial_cost, cold.cost(initial, baseline))
-          << "circuit " << circuit + 1 << " psi " << tiers;
-      EXPECT_EQ(result.anneal.final_cost,
-                cold.cost(result.assignment, baseline))
-          << "circuit " << circuit + 1 << " psi " << tiers;
+  for (const IrCostMode mode : {IrCostMode::Proxy, IrCostMode::Exact}) {
+    for (const int circuit : {0, 4}) {
+      for (const int tiers : {1, 4}) {
+        CircuitSpec spec = CircuitGenerator::table1(circuit);
+        spec.tier_count = tiers;
+        const Package package = CircuitGenerator::generate(spec);
+        const PackageAssignment initial = DfaAssigner().assign(package);
+        GreedyOptions options;
+        options.cost.ir_mode = mode;
+        options.cost.grid_spec.nodes_per_side = 12;
+        const ExchangeResult result =
+            GreedyExchanger(package, options).optimize(initial);
+        const IncreasedDensity baseline(package, initial);
+        const ExchangeOptimizer cold(package, options.cost);
+        const std::string where =
+            std::string(mode == IrCostMode::Exact ? "exact" : "proxy") +
+            " circuit " + std::to_string(circuit + 1) + " psi " +
+            std::to_string(tiers);
+        EXPECT_GT(result.anneal.accepted, 0) << where;
+        EXPECT_EQ(result.anneal.initial_cost, cold.cost(initial, baseline))
+            << where;
+        EXPECT_EQ(result.anneal.final_cost,
+                  cold.cost(result.assignment, baseline))
+            << where;
+      }
     }
   }
-}
-
-TEST(Greedy, CompactModeRuns) {
-  const Package package = make_package();
-  const PackageAssignment initial = DfaAssigner().assign(package);
-  GreedyOptions options = light_options();
-  options.cost.ir_mode = IrCostMode::Compact;
-  options.max_passes = 10;
-  const ExchangeResult result =
-      GreedyExchanger(package, options).optimize(initial);
-  EXPECT_GT(result.ir_cost_before, 0.0);
-  EXPECT_LE(result.ir_cost_after, result.ir_cost_before + 1e-9);
 }
 
 }  // namespace

@@ -77,6 +77,29 @@ TEST(PowerGrid, HotspotsCompose) {
   EXPECT_NEAR(grid.node_current(5, 5), 4.0 * 4.0 / 256.0, 1e-12);
 }
 
+TEST(PowerGrid, ExplicitCurrentsOverrideSpecAndHotspots) {
+  PowerGrid grid(small_spec());  // spec.total_current_a = 4 A
+  grid.add_hotspot({0.0, 0.0, 0.5, 0.5}, 3.0);
+  const auto k = static_cast<std::size_t>(grid.k());
+  Grid2D<double> amps(k, k, 1.0 / 256.0);
+  amps(3, 3) = 0.0;
+  grid.set_explicit_currents(std::move(amps));
+  double total = 0.0;
+  for (int y = 0; y < grid.k(); ++y) {
+    for (int x = 0; x < grid.k(); ++x) total += grid.node_current(x, y);
+  }
+  EXPECT_NEAR(total, 255.0 / 256.0, 1e-12);
+  EXPECT_EQ(grid.node_current(2, 2), 1.0 / 256.0);
+  EXPECT_EQ(grid.node_current(3, 3), 0.0);
+
+  EXPECT_THROW(grid.set_explicit_currents(Grid2D<double>(k, k - 1, 0.0)),
+               InvalidArgument);
+  Grid2D<double> negative(k, k, 0.0);
+  negative(5, 7) = -1e-9;
+  EXPECT_THROW(grid.set_explicit_currents(std::move(negative)),
+               InvalidArgument);
+}
+
 TEST(PowerGrid, PadValidation) {
   PowerGrid grid(small_spec());
   EXPECT_THROW(grid.set_pads({{16, 0}}), InvalidArgument);

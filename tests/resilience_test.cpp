@@ -243,14 +243,6 @@ TEST_F(ResilienceTest, AllBackendsDivergingThrowsSolverError) {
   }
 }
 
-TEST_F(ResilienceTest, FallbackDisabledPropagatesDivergence) {
-  const PowerGrid grid = small_grid();
-  fault::arm("solver.step:after=1:times=0");
-  SolverOptions options;
-  options.fallback = false;
-  EXPECT_THROW((void)solve(grid, options), SolverError);
-}
-
 TEST_F(ResilienceTest, IrDropReadersRejectDivergedResults) {
   const PowerGrid grid = small_grid();
   SolveResult healthy = solve(grid);
