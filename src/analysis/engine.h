@@ -49,12 +49,18 @@ inline constexpr unsigned kAllCheckStages =
     check_stage_bit(CheckStage::Stacking) |
     check_stage_bit(CheckStage::Determinism);
 
+/// The stages a flow or session checks itself against between steps.
+inline constexpr unsigned kSelfCheckStages =
+    check_stage_bit(CheckStage::Package) |
+    check_stage_bit(CheckStage::Stacking) |
+    check_stage_bit(CheckStage::Assignment);
+
 struct CheckEngineOptions {
   /// Severity overrides / waivers applied to every merged report.
   CheckConfig config;
   /// Stages this engine evaluates (stages outside the mask are skipped
-  /// even when their inputs are present). The flow's self-check engine
-  /// masks to Package|Stacking|Assignment, matching the v1 gates.
+  /// even when their inputs are present). The flow's and the session's
+  /// engines mask to kSelfCheckStages, matching the v1 gates.
   unsigned stage_mask = kAllCheckStages;
 };
 

@@ -133,15 +133,10 @@ FlowResult CodesignFlow::run(const Package& package) const {
   // is checked once per run instead of once per gate.
   CheckContext check_context;
   check_context.package = &package;
-  check_context.strategy = options_.routing;
   check_context.grid_spec = options_.grid_spec;
   check_context.solver = options_.solver;
   check_context.stacking = options_.stacking;
-  CheckEngineOptions engine_options;
-  engine_options.stage_mask = check_stage_bit(CheckStage::Package) |
-                              check_stage_bit(CheckStage::Stacking) |
-                              check_stage_bit(CheckStage::Assignment);
-  CheckEngine check_engine(engine_options);
+  CheckEngine check_engine(CheckEngineOptions{{}, kSelfCheckStages});
   {
     const FlowStage stage("flow.check", result.stage_timings);
     if (options_.self_check) {
@@ -174,7 +169,7 @@ FlowResult CodesignFlow::run(const Package& package) const {
                            Grid2D<double>* voltage) {
     const FlowStage stage(span_name, result.stage_timings);
     const CancelToken stage_token = run_token.child(budget.analyze_s);
-    density = max_density(package, assignment, options_.routing);
+    density = max_density(package, assignment);
     flyline_um = total_flyline_um(package, assignment);
     if (has_supply) {
       SolverOptions solver = options_.solver;
@@ -282,9 +277,17 @@ FlowResult CodesignFlow::run(const Package& package) const {
 int BatchResult::failed_count() const {
   int failed = 0;
   for (const BatchJobResult& job : jobs) {
-    if (!job.ok) ++failed;
+    if (!job.ok && !job.skipped()) ++failed;
   }
   return failed;
+}
+
+int BatchResult::skipped_count() const {
+  int skipped = 0;
+  for (const BatchJobResult& job : jobs) {
+    if (job.skipped()) ++skipped;
+  }
+  return skipped;
 }
 
 int BatchResult::degraded_count() const {
@@ -316,12 +319,13 @@ BatchResult run_flow_batch(const Package& package,
                                    "flow");
     // Graceful-drain contract (docs/ROBUSTNESS.md): once the process has
     // taken a SIGINT/SIGTERM, jobs that have not started yet are skipped
-    // outright -- only the in-flight ones run to their best-so-far end.
-    // Without an installed handler the flag can never be set, so plain
-    // library batches are unaffected.
+    // outright, unfinished (exit 5) rather than failed -- only the
+    // in-flight ones run to their best-so-far end. Without an installed
+    // handler the flag can never be set, so plain library batches are
+    // unaffected.
     if (sig::interrupted()) {
       out.error = "skipped: batch interrupted before this job started";
-      out.exit_code = 4;
+      out.exit_code = 5;
       return;
     }
     try {

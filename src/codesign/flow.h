@@ -79,7 +79,10 @@ struct FlowOptions {
   PowerGridSpec grid_spec;
   SolverOptions solver;
   StackingSpec stacking;
-  CrossingStrategy routing = CrossingStrategy::Balanced;
+  /// Every density figure uses Balanced crossing, the default of
+  /// max_density, MonotonicRouter and CheckContext; a constant, not an
+  /// option. e2e_bench/flows.cpp's traced replay still names it.
+  static constexpr CrossingStrategy routing = CrossingStrategy::Balanced;
   /// Wall-clock budgets; all-zero (the default) means run to completion
   /// with bit-identical behaviour to an unbudgeted build.
   FlowBudget budget;
@@ -179,8 +182,12 @@ struct BatchJobResult {
   std::string label;
   bool ok = false;
   std::string error;  // non-empty iff !ok: describe() of the error
-  int exit_code = 0;  // iff !ok: exit_code_for the error (2 or 4)
+  int exit_code = 0;  // iff !ok: exit_code_for the error (2 or 4), or 5
+                      // for a skipped job
   FlowResult result;  // valid iff ok
+
+  /// An interrupt skipped the job before it started: unfinished, not failed.
+  [[nodiscard]] bool skipped() const { return !ok && exit_code == 5; }
 };
 
 /// Results of run_flow_batch, in input-job order regardless of which
@@ -189,7 +196,9 @@ struct BatchResult {
   std::vector<BatchJobResult> jobs;
   double runtime_s = 0.0;
 
+  /// Jobs that threw (skipped jobs are not failed).
   [[nodiscard]] int failed_count() const;
+  [[nodiscard]] int skipped_count() const;
   /// Successful jobs that reported FlowResult::degraded.
   [[nodiscard]] int degraded_count() const;
 };

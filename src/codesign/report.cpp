@@ -223,12 +223,14 @@ obs::RunManifest labelled_job(const std::string& label) {
 
 }  // namespace
 
-obs::RunManifest job_manifest(const std::string& label,
-                              const FlowOptions& options,
-                              const FlowResult& result) {
-  obs::RunManifest manifest = labelled_job(label);
-  fill_run_manifest(manifest, options, result);
-  manifest.exit_code = result.exit_code();
+obs::RunManifest job_manifest(const BatchJob& job,
+                              const BatchJobResult& result) {
+  if (!result.ok) {
+    return job_manifest(job.label, result.error, result.exit_code);
+  }
+  obs::RunManifest manifest = labelled_job(job.label);
+  fill_run_manifest(manifest, job.options, result.result);
+  manifest.exit_code = result.result.exit_code();
   return manifest;
 }
 
@@ -257,33 +259,6 @@ void fill_batch_manifest(obs::RunManifest& manifest,
   r["jobs_failed"] = batch.failed_count();
   r["jobs_degraded"] = batch.degraded_count();
   r["runtime_s"] = batch.runtime_s;
-  // One summary block per job under "extra"; the full per-job story lives
-  // in each job's own artifact subdirectory.
-  obs::Json jobs = obs::Json::array();
-  for (const BatchJobResult& job : batch.jobs) {
-    obs::Json entry = obs::Json::object();
-    entry.set("label", obs::Json::string(job.label));
-    entry.set("ok", obs::Json::boolean(job.ok));
-    if (!job.ok) {
-      entry.set("error", obs::Json::string(job.error));
-    } else {
-      entry.set("degraded", obs::Json::boolean(job.result.degraded));
-      entry.set("max_density",
-                obs::Json::number(static_cast<long long>(
-                    job.result.max_density_final)));
-      entry.set("ir_drop_v",
-                obs::Json::number(job.result.ir_final.max_drop_v));
-      entry.set("omega", obs::Json::number(static_cast<long long>(
-                             job.result.bonding_final.omega)));
-      entry.set("sa_final_cost",
-                obs::Json::number(job.result.anneal.final_cost));
-      entry.set("runtime_s", obs::Json::number(job.result.runtime_s));
-    }
-    jobs.push(std::move(entry));
-  }
-  obs::Json extra = obs::Json::object();
-  extra.set("batch_jobs", std::move(jobs));
-  manifest.extra = std::move(extra);
 }
 
 }  // namespace fp

@@ -34,16 +34,18 @@ void save_flow_report(const Package& package, const FlowOptions& options,
 void fill_run_manifest(obs::RunManifest& manifest, const FlowOptions& options,
                        const FlowResult& result);
 
-/// The manifest of one finished batch or farm job (jobs/job<i>/):
-/// subcommand "batch-job", the tool version, extra.label, the
-/// fill_run_manifest() record and the flow's exit code. `fpkit batch`,
-/// the farm worker and the farm supervisor all build job manifests here,
-/// so batch and farm trees record an outcome the same way.
-[[nodiscard]] obs::RunManifest job_manifest(const std::string& label,
-                                            const FlowOptions& options,
-                                            const FlowResult& result);
+/// The manifest of one batch or farm job (jobs/job<i>/): subcommand
+/// "batch-job", the tool version and extra.label, then for a finished
+/// job the fill_run_manifest() record and the flow's exit code, for a
+/// failed or skipped one extra.error and its exit code. `fpkit batch` and
+/// the farm worker both record every job here, so batch and farm trees
+/// record an outcome the same way.
+[[nodiscard]] obs::RunManifest job_manifest(const BatchJob& job,
+                                            const BatchJobResult& result);
 
-/// The failed form: extra.label, extra.error and the given exit code.
+/// The failed form on its own, for a farm job whose worker left no
+/// manifest (a crash or a timeout): extra.label, extra.error and the
+/// given exit code.
 [[nodiscard]] obs::RunManifest job_manifest(const std::string& label,
                                             const std::string& error,
                                             int exit_code);
@@ -55,8 +57,9 @@ void fill_run_manifest(obs::RunManifest& manifest, const FlowOptions& options,
                                   std::size_t unfinished,
                                   std::size_t degraded);
 
-/// Batch variant: job counts (jobs_degraded counts degraded jobs, as the
-/// farm's manifest does) plus per-job summary blocks under "extra".
+/// Batch variant: the base options and the job counts (jobs_degraded
+/// counts degraded jobs, as the farm's manifest does); each job's own
+/// manifest (job_manifest) holds its figures.
 void fill_batch_manifest(obs::RunManifest& manifest,
                          const FlowOptions& base_options,
                          const BatchResult& batch);

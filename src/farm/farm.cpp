@@ -72,8 +72,10 @@ int run_farm_worker(const WorkerOptions& options) {
   obs::set_progress_heartbeat(options.heartbeat_path);
   maybe_stall();
 
-  std::string label;  // known once the jobs file parses
-  obs::RunManifest manifest;
+  // The job runs as a one-job batch, so it is run, skipped on a signal
+  // and mapped to an error and exit code exactly as a `fpkit batch` job.
+  BatchJob job;  // its label is known once the jobs file parses
+  BatchJobResult result;
   try {
     const std::vector<BatchJob> jobs =
         load_batch_jobs(options.jobs_file, options.base);
@@ -82,20 +84,19 @@ int run_farm_worker(const WorkerOptions& options) {
             "farm worker: --job-index " + std::to_string(options.job_index) +
                 " out of range (jobs file has " +
                 std::to_string(jobs.size()) + " job(s))");
-    const BatchJob& job = jobs[static_cast<std::size_t>(options.job_index)];
-    label = job.label;
-
+    job = jobs[static_cast<std::size_t>(options.job_index)];
+    job.options.interruptible = true;  // SIGINT/SIGTERM -> exit 5
     const Package package = load_circuit(options.circuit);
-    FlowOptions flow = job.options;
-    flow.interruptible = true;  // SIGINT/SIGTERM -> best-so-far + exit 5
-    manifest = job_manifest(label, flow, CodesignFlow(flow).run(package));
+    result = std::move(run_flow_batch(package, {job}).jobs.front());
   } catch (const Error& error) {
-    // Record the failure in the artifact (like a failed batch job) and
-    // exit with its documented code; the supervisor classifies it.
-    std::fprintf(stderr, "fpkit farm worker: %s\n", error.describe().c_str());
-    manifest = job_manifest(label, error.describe(),
-                            exit_code_for(error.code()));
+    result.error = error.describe();
+    result.exit_code = exit_code_for(error.code());
   }
+  // The supervisor quotes this stderr line in the attempt's record.
+  if (!result.ok) {
+    std::fprintf(stderr, "fpkit farm worker: %s\n", result.error.c_str());
+  }
+  obs::RunManifest manifest = job_manifest(job, result);
   // Host info (peak RSS, cores) per attempt; the supervisor aggregates
   // these into the farm manifest's host rollup.
   obs::capture_environment(manifest);

@@ -51,12 +51,12 @@ struct WorkerOptions {
   FlowOptions base;            // base options the jobs-file layers over
 };
 
-/// Runs one job in this process and writes its artifact (job_manifest in
-/// codesign/report.h, as for a `fpkit batch` job). Returns the recorded
-/// exit code: the flow's 0 ok, 3 degraded or 5 interrupted; a thrown
-/// fp::Error is caught, recorded and mapped by exit_code_for to 2/4.
-/// Crashes are the point of running in a child -- nothing here contains
-/// them.
+/// Runs one job in this process as a one-job run_flow_batch and writes
+/// its artifact (job_manifest in codesign/report.h, as for a `fpkit
+/// batch` job). Returns the recorded exit code: the flow's 0 ok, 3
+/// degraded or 5 interrupted; 5 for a job a signal skipped; 2/4 for an
+/// error, mapped as a batch job's. Crashes are the point of running in a
+/// child -- nothing here contains them.
 [[nodiscard]] int run_farm_worker(const WorkerOptions& options);
 
 /// Supervisor configuration for a fresh farm.

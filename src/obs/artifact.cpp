@@ -53,14 +53,17 @@ namespace {
 struct Comparer {
   const CompareOptions& options;
   CompareReport report;
+  int job = -1;  // the sweep job being diffed; -1 = the top level
 
   void note_equal() { ++report.compared; }
 
   void add(std::string kind, std::string name, double a, double b,
            bool regression, std::string note) {
     ++report.compared;
-    report.findings.push_back(CompareFinding{
-        std::move(kind), std::move(name), a, b, regression, std::move(note)});
+    report.findings.push_back(CompareFinding{std::move(kind),
+                                             std::move(name), a, b,
+                                             regression, std::move(note),
+                                             job});
   }
 
   /// A quantity where any difference is reported but only the configured
@@ -391,12 +394,18 @@ int CompareReport::regressions() const {
 std::string CompareReport::to_string() const {
   std::string out;
   char buf[256];
-  for (const CompareFinding& finding : findings) {
-    std::snprintf(buf, sizeof(buf), "  %-9s %-34s %14.6g %14.6g  %s%s\n",
-                  finding.kind.c_str(), finding.name.c_str(), finding.a,
-                  finding.b, finding.regression ? "REGRESSION " : "",
-                  finding.note.c_str());
-    out += buf;
+  // The top level's rows, then each job's under its header: findings come
+  // grouped by job in index order.
+  auto finding = findings.begin();
+  for (int job = -1; job < static_cast<int>(jobs.size()); ++job) {
+    if (job >= 0) out += jobs[static_cast<std::size_t>(job)] + ":\n";
+    for (; finding != findings.end() && finding->job == job; ++finding) {
+      std::snprintf(buf, sizeof(buf), "  %-9s %-34s %14.6g %14.6g  %s%s\n",
+                    finding->kind.c_str(), finding->name.c_str(), finding->a,
+                    finding->b, finding->regression ? "REGRESSION " : "",
+                    finding->note.c_str());
+      out += buf;
+    }
   }
   std::snprintf(buf, sizeof(buf),
                 "compared %d quantities: %zu differ, %d regression(s)\n",
@@ -405,13 +414,11 @@ std::string CompareReport::to_string() const {
   return out;
 }
 
-CompareReport compare_artifacts(const std::string& dir_a,
-                                const std::string& dir_b,
-                                const CompareOptions& options) {
-  const LoadedArtifact a = load_run_artifact(dir_a);
-  const LoadedArtifact b = load_run_artifact(dir_b);
-  Comparer comparer{options, CompareReport{}};
+namespace {
 
+/// Diffs one pair of loaded artifacts into `comparer`.
+void compare_loaded(Comparer& comparer, const LoadedArtifact& a,
+                    const LoadedArtifact& b) {
   // Manifest-level: headline results, then the stage-timing ratios.
   {
     Json results_a = Json::object();
@@ -515,18 +522,10 @@ CompareReport compare_artifacts(const std::string& dir_a,
       }
     }
   }
-  return std::move(comparer.report);
 }
 
-bool is_batch_artifact(const std::string& dir) {
-  return fs::exists(fs::path(dir) / "manifest.json") &&
-         fs::exists(fs::path(dir) / "jobs" / "job0" / "manifest.json");
-}
-
-namespace {
-
-std::string job_label(const std::string& job_dir) {
-  const LoadedArtifact artifact = load_run_artifact(job_dir);
+/// A job manifest's extra.label; empty when absent (or no manifest).
+std::string label_of(const LoadedArtifact& artifact) {
   const Json* label = artifact.manifest.extra.find("label");
   return label != nullptr && label->is_string() ? label->as_string()
                                                 : std::string();
@@ -534,70 +533,37 @@ std::string job_label(const std::string& job_dir) {
 
 }  // namespace
 
-int BatchCompareReport::regressions() const {
-  int count = top.regressions();
-  for (const BatchJobCompare& job : jobs) {
-    if (job.only_a || job.only_b) {
-      ++count;
-    } else {
-      count += job.report.regressions();
-    }
-  }
-  return count;
-}
-
-std::string BatchCompareReport::to_string() const {
-  std::string out = "batch summary:\n" + top.to_string();
-  for (const BatchJobCompare& job : jobs) {
-    out += job.job;
-    if (!job.label.empty()) out += " (" + job.label + ")";
-    if (job.only_a) {
-      out += ": only in A (REGRESSION)\n";
-      continue;
-    }
-    if (job.only_b) {
-      out += ": only in B (REGRESSION)\n";
-      continue;
-    }
-    out += ":\n" + job.report.to_string();
-  }
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "batch: %zu job slot(s), %d regression(s) overall\n",
-                jobs.size(), regressions());
-  out += buf;
-  return out;
-}
-
-BatchCompareReport compare_batch_artifacts(const std::string& dir_a,
-                                           const std::string& dir_b,
-                                           const CompareOptions& options) {
-  BatchCompareReport report;
-  report.top = compare_artifacts(dir_a, dir_b, options);
+CompareReport compare_artifacts(const std::string& dir_a,
+                                const std::string& dir_b,
+                                const CompareOptions& options) {
+  const LoadedArtifact a = load_run_artifact(dir_a);
+  const LoadedArtifact b = load_run_artifact(dir_b);
+  Comparer comparer{options, CompareReport{}};
+  compare_loaded(comparer, a, b);
   for (int i = 0;; ++i) {
-    const std::string sub = "jobs/job" + std::to_string(i);
-    const std::string job_a = dir_a + "/" + sub;
-    const std::string job_b = dir_b + "/" + sub;
-    const bool has_a = fs::exists(fs::path(job_a) / "manifest.json");
-    const bool has_b = fs::exists(fs::path(job_b) / "manifest.json");
+    const std::string sub = "/jobs/job" + std::to_string(i);
+    const bool has_a = fs::exists(fs::path(dir_a + sub) / "manifest.json");
+    const bool has_b = fs::exists(fs::path(dir_b + sub) / "manifest.json");
     if (!has_a && !has_b) break;
-    BatchJobCompare job;
-    job.job = "job" + std::to_string(i);
+    const LoadedArtifact job_a =
+        has_a ? load_run_artifact(dir_a + sub) : LoadedArtifact{};
+    const LoadedArtifact job_b =
+        has_b ? load_run_artifact(dir_b + sub) : LoadedArtifact{};
+    std::string label = label_of(has_a ? job_a : job_b);
+    const std::string label_b = label_of(job_b);
+    if (!label_b.empty() && label_b != label) label += " vs " + label_b;
+    std::string scope = "job" + std::to_string(i);
+    if (!label.empty()) scope += " (" + label + ")";
+    comparer.report.jobs.push_back(std::move(scope));
+    comparer.job = i;
     if (has_a && has_b) {
-      job.label = job_label(job_a);
-      const std::string label_b = job_label(job_b);
-      if (!label_b.empty() && label_b != job.label) {
-        job.label += " vs " + label_b;
-      }
-      job.report = compare_artifacts(job_a, job_b, options);
+      compare_loaded(comparer, job_a, job_b);
     } else {
-      job.only_a = has_a;
-      job.only_b = has_b;
-      job.label = job_label(has_a ? job_a : job_b);
+      comparer.add("job", "manifest", has_a ? 1.0 : 0.0, has_b ? 1.0 : 0.0,
+                   true, has_a ? "only in A" : "only in B");
     }
-    report.jobs.push_back(std::move(job));
   }
-  return report;
+  return std::move(comparer.report);
 }
 
 }  // namespace fp::obs

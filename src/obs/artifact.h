@@ -147,67 +147,44 @@ struct CompareOptions {
                                      const CompareOptions& options);
 
 /// One compared quantity. `regression` is only ever true for gated
-/// findings (slowdown breach, unequal cost under require_equal_cost).
+/// findings (slowdown breach, unequal cost under require_equal_cost, a
+/// sweep job present on one side only).
 struct CompareFinding {
-  std::string kind;   // "result", "stage", "counter", "gauge", "histogram"
+  std::string kind;   // "result", "stage", "counter", "gauge", "histogram",
+                      // "series", or "job" for a one-sided sweep job
   std::string name;
   double a = 0.0;
   double b = 0.0;
   bool regression = false;
   std::string note;   // human-readable explanation for regressions
+  /// Index into CompareReport::jobs of the sweep job the quantity belongs
+  /// to; -1 for the top-level artifact.
+  int job = -1;
 };
 
 struct CompareReport {
   std::vector<CompareFinding> findings;  // differing quantities only
   /// Quantities compared in total (equal ones are not listed above).
   int compared = 0;
+  /// The sweep jobs diffed after the top-level artifact, in index order:
+  /// "job<i> (<label>)", both labels ("a vs b") when they differ. Empty
+  /// unless a side holds jobs/job0/.
+  std::vector<std::string> jobs;
 
   [[nodiscard]] int regressions() const;
-  /// Fixed-width text table of the findings plus a one-line verdict.
+  /// Fixed-width text table of the findings, one section per sweep job,
+  /// plus a one-line verdict.
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Diffs two artifact directories (see the header comment). Throws on
-/// unreadable/malformed artifacts; never throws on mere differences.
+/// Diffs two artifact directories (see the header comment), then the
+/// jobs of a sweep tree (`fpkit batch`, `fpkit farm`): jobs/job<i> of A
+/// against jobs/job<i> of B with the same gates, for as long as either
+/// side has jobs/job<i>/manifest.json. A job on one side only is one
+/// regression finding. Throws on unreadable/malformed artifacts; never
+/// throws on mere differences.
 [[nodiscard]] CompareReport compare_artifacts(const std::string& dir_a,
                                               const std::string& dir_b,
                                               const CompareOptions& options);
-
-/// True when `dir` looks like a `fpkit batch --artifact-dir` artifact:
-/// a top-level manifest plus per-job manifests under jobs/job<i>/.
-[[nodiscard]] bool is_batch_artifact(const std::string& dir);
-
-/// One job of a batch-vs-batch diff. `label` comes from the job
-/// manifest's extra.label ("dfa/seed=3"); a job present on only one side
-/// is reported without a per-job diff.
-struct BatchJobCompare {
-  std::string job;    // "job0" .. "jobN" (directory name)
-  std::string label;
-  bool only_a = false;
-  bool only_b = false;
-  CompareReport report;
-};
-
-struct BatchCompareReport {
-  /// The batch-level artifacts diffed (summary results + process-wide
-  /// metrics).
-  CompareReport top;
-  std::vector<BatchJobCompare> jobs;
-
-  /// Gated regressions across the top-level diff and every job; a job
-  /// missing on either side also counts as one regression (a changed
-  /// sweep shape is never an equal run).
-  [[nodiscard]] int regressions() const;
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Job-by-job diff of two batch artifacts: jobs/job<i> of A against
-/// jobs/job<i> of B (index order -- batch job order is deterministic and
-/// thread-count independent), each through compare_artifacts with the
-/// same gates, plus the top-level artifact diff. Throws on unreadable
-/// artifacts; never throws on mere differences.
-[[nodiscard]] BatchCompareReport compare_batch_artifacts(
-    const std::string& dir_a, const std::string& dir_b,
-    const CompareOptions& options);
 
 }  // namespace fp::obs

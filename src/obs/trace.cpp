@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <set>
@@ -299,24 +298,6 @@ std::string trace_to_json() {
     trace.process_sort_indices[process.pid] = process.sort_index;
   }
   return chrome_trace_json(trace);
-}
-
-std::string trace_to_text() {
-  const std::vector<ProfileSpan> spans = trace_spans();
-  std::string out;
-  int current_thread = -1;
-  for (const ProfileSpan& span : spans) {
-    if (span.thread_id != current_thread) {
-      current_thread = span.thread_id;
-      out += "thread " + std::to_string(current_thread) + "\n";
-    }
-    out.append(static_cast<std::size_t>(2 * (span.depth + 1)), ' ');
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.3f ms",
-                  static_cast<double>(span.duration_us) / 1e3);
-    out += span.name + " [" + span.category + "] " + buf + "\n";
-  }
-  return out;
 }
 
 void save_trace(const std::string& path) {

@@ -1,6 +1,6 @@
 // Span tracer for the codesign flow: RAII spans with nesting and
 // thread-id capture, plus Chrome-trace-event JSON export (loadable in
-// chrome://tracing and Perfetto) and a compact text tree dump.
+// chrome://tracing and Perfetto).
 //
 // Tracing is disabled by default. Every instrumentation site is guarded
 // by one relaxed atomic load (`tracing_enabled()`), so instrumented code
@@ -163,9 +163,6 @@ void set_thread_name(std::string_view name);
 /// This process's trace through chrome_trace_json(). A default identity
 /// writes no process metadata.
 [[nodiscard]] std::string trace_to_json();
-
-/// Indented per-thread tree of the recorded spans, for terminal use.
-[[nodiscard]] std::string trace_to_text();
 
 /// Writes trace_to_json() to `path`; throws IoError on failure.
 void save_trace(const std::string& path);

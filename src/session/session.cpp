@@ -33,8 +33,7 @@ DesignSession::DesignSession(const Package& package,
   require(options_.lambda >= 0.0 && options_.rho >= 0.0 &&
               options_.phi >= 0.0,
           "DesignSession: Eq.-(3) weights must be non-negative");
-  engine_ = CheckEngine(CheckEngineOptions{options_.check_config,
-                                           options_.check_stage_mask});
+  engine_ = CheckEngine(CheckEngineOptions{{}, kSelfCheckStages});
   const PadRing ring(package, options_.grid_spec.nodes_per_side);
   for (int slot = 0; slot < ring.slot_count(); ++slot) {
     slot_nodes_.push_back(ring.node_of_slot(slot));
@@ -307,8 +306,7 @@ SessionEvaluation DesignSession::evaluate_cold(
   }
   if (what.check) {
     ev.have_check = true;
-    CheckEngine cold_engine(CheckEngineOptions{options_.check_config,
-                                               options_.check_stage_mask});
+    CheckEngine cold_engine(CheckEngineOptions{{}, kSelfCheckStages});
     ev.check = cold_engine.run_full(make_context());
   }
   ++stats_.cold_evaluations;

@@ -72,13 +72,6 @@ struct SessionOptions {
   /// Seed IR re-solves from the previous voltage field. Off = every
   /// solve is cold and bit-identical to the one-shot analyze_ir path.
   bool warm_start = true;
-  /// Stages the session's CheckEngine covers; defaults to the flow's
-  /// self-check gates (Package|Stacking|Assignment).
-  unsigned check_stage_mask = check_stage_bit(CheckStage::Package) |
-                              check_stage_bit(CheckStage::Stacking) |
-                              check_stage_bit(CheckStage::Assignment);
-  /// Severity overrides / waivers for the check layer.
-  CheckConfig check_config;
 };
 
 /// What evaluate() should compute beyond the always-on Eq.-(3) terms and

@@ -619,7 +619,7 @@ TEST(ArtifactCompare, MissingArtifactThrows) {
   std::filesystem::remove_all(good);
 }
 
-// --- batch-vs-batch compare --------------------------------------------
+// --- sweep-tree compare ------------------------------------------------
 
 std::string write_batch_artifact(const std::string& name,
                                  const std::vector<double>& job_costs,
@@ -647,14 +647,13 @@ std::string write_batch_artifact(const std::string& name,
   return dir;
 }
 
-TEST(BatchCompare, DetectsBatchArtifacts) {
-  const std::string batch = write_batch_artifact("bat_detect", {1.0}, {});
-  const std::string run = write_compare_artifact("bat_run", 0.1, 0.001, 5.0);
-  EXPECT_TRUE(obs::is_batch_artifact(batch));
-  EXPECT_FALSE(obs::is_batch_artifact(run));
-  EXPECT_FALSE(obs::is_batch_artifact(::testing::TempDir() + "bat_nope"));
-  std::filesystem::remove_all(batch);
-  std::filesystem::remove_all(run);
+/// Gated regressions among job `job`'s findings.
+int job_regressions(const obs::CompareReport& report, int job) {
+  int count = 0;
+  for (const obs::CompareFinding& finding : report.findings) {
+    if (finding.job == job && finding.regression) ++count;
+  }
+  return count;
 }
 
 TEST(BatchCompare, DiffsJobByJobWithLabels) {
@@ -664,13 +663,11 @@ TEST(BatchCompare, DiffsJobByJobWithLabels) {
       "bat_b", {5.0, 7.5}, {"dfa/seed=1", "dfa/seed=2"});
   obs::CompareOptions gates;
   gates.require_equal_cost = true;
-  const obs::BatchCompareReport report =
-      obs::compare_batch_artifacts(a, b, gates);
+  const obs::CompareReport report = obs::compare_artifacts(a, b, gates);
   ASSERT_EQ(report.jobs.size(), 2u);
-  EXPECT_EQ(report.jobs[0].job, "job0");
-  EXPECT_EQ(report.jobs[0].label, "dfa/seed=1");
-  EXPECT_EQ(report.jobs[0].report.regressions(), 0);
-  EXPECT_GT(report.jobs[1].report.regressions(), 0);
+  EXPECT_EQ(report.jobs[0], "job0 (dfa/seed=1)");
+  EXPECT_EQ(job_regressions(report, 0), 0);
+  EXPECT_GT(job_regressions(report, 1), 0);
   EXPECT_EQ(report.regressions(), 1);
   EXPECT_NE(report.to_string().find("dfa/seed=2"), std::string::npos);
   std::filesystem::remove_all(a);
@@ -683,8 +680,7 @@ TEST(BatchCompare, IdenticalBatchesAreCleanUnderEveryGate) {
   obs::CompareOptions gates;
   gates.require_equal_cost = true;
   gates.max_slowdown = 1.5;
-  const obs::BatchCompareReport report =
-      obs::compare_batch_artifacts(a, b, gates);
+  const obs::CompareReport report = obs::compare_artifacts(a, b, gates);
   EXPECT_EQ(report.regressions(), 0);
   std::filesystem::remove_all(a);
   std::filesystem::remove_all(b);
@@ -693,10 +689,11 @@ TEST(BatchCompare, IdenticalBatchesAreCleanUnderEveryGate) {
 TEST(BatchCompare, MissingJobCountsAsRegression) {
   const std::string a = write_batch_artifact("bat_mis_a", {5.0, 7.0}, {});
   const std::string b = write_batch_artifact("bat_mis_b", {5.0}, {});
-  const obs::BatchCompareReport report =
-      obs::compare_batch_artifacts(a, b, {});
+  const obs::CompareReport report = obs::compare_artifacts(a, b, {});
   ASSERT_EQ(report.jobs.size(), 2u);
-  EXPECT_TRUE(report.jobs[1].only_a);
+  ASSERT_FALSE(report.findings.empty());
+  EXPECT_EQ(report.findings.back().job, 1);
+  EXPECT_EQ(report.findings.back().note, "only in A");
   EXPECT_GE(report.regressions(), 1);
   EXPECT_NE(report.to_string().find("only in"), std::string::npos);
   std::filesystem::remove_all(a);

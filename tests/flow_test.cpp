@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "codesign/flow.h"
+#include "codesign/report.h"
 #include "exec/exec.h"
 #include "package/circuit_generator.h"
 #include "power/pad_ring.h"
@@ -100,6 +101,31 @@ TEST(Flow, ExitCodeIsOkDegradedOrInterrupted) {
   sig::reset();
   EXPECT_GT(interrupted.degrade_events.size(), 1u);
   EXPECT_EQ(interrupted.exit_code(), 5);
+}
+
+TEST(Flow, BatchJobsSkippedByAnInterruptAreUnfinished) {
+  // A job a signal skips before it starts did not fail: it records the
+  // interrupted exit code, stays out of the failed count, and the sweep
+  // exits 5 (unfinished) even without the interrupt flag itself.
+  const Package package = make_package(0);
+  const FlowOptions options = light_flow(AssignmentMethod::Dfa);
+  sig::reset();
+  sig::request_cancel(SIGINT);
+  const BatchResult batch =
+      run_flow_batch(package, {{"a", options}, {"b", options}});
+  sig::reset();
+  ASSERT_EQ(batch.jobs.size(), 2u);
+  for (const BatchJobResult& job : batch.jobs) {
+    EXPECT_FALSE(job.ok);
+    EXPECT_EQ(job.exit_code, 5) << job.error;
+  }
+  EXPECT_EQ(batch.failed_count(), 0);
+  EXPECT_EQ(batch.skipped_count(), 2);
+  EXPECT_EQ(sweep_exit_code(/*interrupted=*/false,
+                            static_cast<std::size_t>(batch.failed_count()),
+                            static_cast<std::size_t>(batch.skipped_count()),
+                            static_cast<std::size_t>(batch.degraded_count())),
+            5);
 }
 
 TEST(Flow, EndToEndStacking) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "geom/grid2d.h"
-#include "geom/interval.h"
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "util/error.h"
@@ -85,29 +84,6 @@ TEST(Rect, Inflated) {
   const Rect r = Rect{1.0, 1.0, 2.0, 2.0}.inflated(0.5);
   EXPECT_DOUBLE_EQ(r.x0, 0.5);
   EXPECT_DOUBLE_EQ(r.y1, 2.5);
-}
-
-TEST(Interval, EmptyAndSize) {
-  EXPECT_TRUE(Interval{}.empty());
-  EXPECT_EQ(Interval{}.size(), 0);
-  const Interval i{2, 5};
-  EXPECT_FALSE(i.empty());
-  EXPECT_EQ(i.size(), 4);
-}
-
-TEST(Interval, Contains) {
-  const Interval i{2, 5};
-  EXPECT_TRUE(i.contains(2));
-  EXPECT_TRUE(i.contains(5));
-  EXPECT_FALSE(i.contains(1));
-  EXPECT_FALSE(i.contains(6));
-}
-
-TEST(Interval, Intersection) {
-  const Interval a{0, 10};
-  const Interval b{5, 15};
-  EXPECT_EQ(a.intersected(b), (Interval{5, 10}));
-  EXPECT_TRUE(a.intersected(Interval{11, 12}).empty());
 }
 
 TEST(Grid2D, FillAndAccess) {

@@ -339,10 +339,16 @@ TEST_F(ObsTest, TextTreeShowsNesting) {
     const obs::ScopedSpan outer("outer", "test");
     const obs::ScopedSpan inner("inner", "test");
   }
-  const std::string tree = obs::trace_to_text();
-  EXPECT_NE(tree.find("thread 0"), std::string::npos);
-  EXPECT_NE(tree.find("\n  outer"), std::string::npos);
-  EXPECT_NE(tree.find("\n    inner"), std::string::npos);
+  // Layout order: outer first, inner nested one level below it, both on
+  // the first thread.
+  const std::vector<obs::ProfileSpan> spans = obs::trace_spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "outer");
+  EXPECT_EQ(spans[0].thread_id, 0);
+  EXPECT_EQ(spans[0].depth, 0);
+  EXPECT_EQ(spans[1].name, "inner");
+  EXPECT_EQ(spans[1].thread_id, 0);
+  EXPECT_EQ(spans[1].depth, 1);
 }
 
 // --- metrics registry --------------------------------------------------

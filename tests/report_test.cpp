@@ -75,12 +75,13 @@ TEST(Report, BadPathThrows) {
 TEST(JobManifest, RecordsTheFlowsExitCode) {
   // One builder for every batch and farm job manifest. An interrupted
   // job records 5, where a degraded one records 3.
-  FlowResult result;
-  result.degraded = true;
-  result.degrade_events.push_back(
+  const BatchJob alpha{"alpha", FlowOptions{}};
+  BatchJobResult finished;
+  finished.ok = true;
+  finished.result.degraded = true;
+  finished.result.degrade_events.push_back(
       DegradeEvent{"exchange", DegradeReason::BudgetExpired, ""});
-  const obs::RunManifest degraded =
-      job_manifest("alpha", FlowOptions{}, result);
+  const obs::RunManifest degraded = job_manifest(alpha, finished);
   EXPECT_EQ(degraded.subcommand, "batch-job");
   EXPECT_EQ(degraded.version, obs::kToolVersion);
   EXPECT_EQ(degraded.extra.at("label").as_string(), "alpha");
@@ -88,11 +89,15 @@ TEST(JobManifest, RecordsTheFlowsExitCode) {
   EXPECT_EQ(degraded.results.at("degraded"), 1.0);
   EXPECT_EQ(degraded.exit_code, 3);
 
-  result.degrade_events.push_back(
+  finished.result.degrade_events.push_back(
       DegradeEvent{"flow", DegradeReason::Interrupted, ""});
-  EXPECT_EQ(job_manifest("alpha", FlowOptions{}, result).exit_code, 5);
+  EXPECT_EQ(job_manifest(alpha, finished).exit_code, 5);
 
-  const obs::RunManifest failed = job_manifest("beta", "[FP-IO] gone", 2);
+  BatchJobResult error;
+  error.error = "[FP-IO] gone";
+  error.exit_code = 2;
+  const obs::RunManifest failed =
+      job_manifest(BatchJob{"beta", FlowOptions{}}, error);
   EXPECT_EQ(failed.subcommand, "batch-job");
   EXPECT_EQ(failed.extra.at("label").as_string(), "beta");
   EXPECT_EQ(failed.extra.at("error").as_string(), "[FP-IO] gone");

@@ -404,7 +404,6 @@ int cmd_check(const ArgParser& args) {
 
   CheckContext context;
   context.package = &package;
-  context.strategy = options.routing;
   context.grid_spec = options.grid_spec;
   context.solver = options.solver;
   context.stacking = options.stacking;
@@ -428,7 +427,7 @@ int cmd_check(const ArgParser& args) {
   PackageRoute route;
   PackageViaPlan via_plan;
   try {
-    route = MonotonicRouter(options.routing).route(package, assignment);
+    route = MonotonicRouter().route(package, assignment);
     context.route = &route;
     via_plan = plan_vias(package, assignment);
     context.via_plan = &via_plan;
@@ -514,9 +513,6 @@ int cmd_check(const ArgParser& args) {
 int cmd_batch(const ArgParser& args) {
   const Package package = load_input(args);
   const FlowOptions base = flow_options(args);
-  if (args.has("jobs") && !args.has("threads")) {
-    exec::set_default_threads(static_cast<int>(args.get_int("jobs", 0)));
-  }
 
   std::vector<BatchJob> jobs;
   const std::string jobs_file = args.get_string("jobs-file", "");
@@ -545,11 +541,8 @@ int cmd_batch(const ArgParser& args) {
   if (g_artifact.active()) {
     fill_batch_manifest(g_artifact.manifest, base, batch);
     for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
-      const BatchJobResult& job = batch.jobs[i];
-      g_artifact.jobs.emplace_back(
-          "jobs/job" + std::to_string(i),
-          job.ok ? job_manifest(job.label, jobs[i].options, job.result)
-                 : job_manifest(job.label, job.error, job.exit_code));
+      g_artifact.jobs.emplace_back("jobs/job" + std::to_string(i),
+                                   job_manifest(jobs[i], batch.jobs[i]));
     }
   }
   std::printf("batch: %zu job(s) on %d thread(s), %.3f s\n",
@@ -558,7 +551,8 @@ int cmd_batch(const ArgParser& args) {
               "density", "IR-drop(mV)", "omega", "runtime");
   for (const BatchJobResult& job : batch.jobs) {
     if (!job.ok) {
-      std::printf("  %-16s %-8s %s\n", job.label.c_str(), "FAILED",
+      std::printf("  %-16s %-8s %s\n", job.label.c_str(),
+                  job.skipped() ? "skipped" : "FAILED",
                   job.error.c_str());
       continue;
     }
@@ -569,10 +563,12 @@ int cmd_batch(const ArgParser& args) {
                 job.result.bonding_final.omega, job.result.runtime_s);
   }
   // Graceful drain: in-flight jobs kept their best-so-far results and
-  // every artifact was still written; skipped jobs say so in their error
-  // text. Interruption outranks the failed/degraded codes.
+  // every artifact was still written; skipped jobs are unfinished and say
+  // so in their error text. Interruption outranks the failed/degraded
+  // codes.
   const int code = sweep_exit_code(
-      sig::interrupted(), static_cast<std::size_t>(batch.failed_count()), 0,
+      sig::interrupted(), static_cast<std::size_t>(batch.failed_count()),
+      static_cast<std::size_t>(batch.skipped_count()),
       static_cast<std::size_t>(batch.degraded_count()));
   if (code == 5) {
     std::fprintf(stderr,
@@ -702,9 +698,10 @@ int cmd_farm(const ArgParser& args) {
   return outcome.exit_code;
 }
 
-/// `fpkit compare`: diff two run artifacts with the CI exit contract
-/// 0 ok / 3 regression / 2 bad input (docs/ARTIFACTS.md). Without gate
-/// flags every difference is informational and the exit code is 0.
+/// `fpkit compare`: diff two run artifacts (sweep trees job by job) with
+/// the CI exit contract 0 ok / 3 regression / 2 bad input
+/// (docs/ARTIFACTS.md). Without gate flags only a one-sided sweep job
+/// exits 3.
 int cmd_compare(const ArgParser& args) {
   require(args.positional().size() == 2,
           "compare: need exactly two artifact directories");
@@ -715,22 +712,6 @@ int cmd_compare(const ArgParser& args) {
   options.require_equal_cost = args.has("require-equal-cost");
   const std::string& dir_a = args.positional()[0];
   const std::string& dir_b = args.positional()[1];
-  // Two batch artifacts diff job-by-job; everything else diffs as one
-  // run. Mixed shapes fall through to the plain compare, which reports
-  // the mismatching manifests itself.
-  if (obs::is_batch_artifact(dir_a) && obs::is_batch_artifact(dir_b)) {
-    const obs::BatchCompareReport report =
-        obs::compare_batch_artifacts(dir_a, dir_b, options);
-    std::printf("comparing batches %s vs %s\n%s", dir_a.c_str(),
-                dir_b.c_str(), report.to_string().c_str());
-    if (report.regressions() > 0) {
-      std::fprintf(stderr,
-                   "fpkit compare: %d regression(s) (exit code 3)\n",
-                   report.regressions());
-      return 3;
-    }
-    return 0;
-  }
   const obs::CompareReport report =
       obs::compare_artifacts(dir_a, dir_b, options);
   std::printf("comparing %s vs %s\n%s", dir_a.c_str(), dir_b.c_str(),
@@ -983,7 +964,6 @@ constexpr Flag kBatchFlags[] = {
     {"methods", "m1,m2,...", "methods of the cross product (default dfa)"},
     {"seeds", "s1,s2,...", "seeds of the cross product (default --seed)"},
     {"jobs-file", "<jobs.txt>", "one job per line instead of the product"},
-    {"jobs", "N", "worker threads when --threads is absent"},
 };
 constexpr Flag kFarmFlags[] = {
     {"jobs-file", "<jobs.txt>", "job list (required)"},
