@@ -97,6 +97,7 @@ int main(int argc, char** argv) {
     int old_slot = 0;
     int new_slot = 0;
   };
+  Move sampled;             // the last legal proposal
   std::vector<Move> moves;  // undo pops these newest first
   SaSchedule schedule;
   schedule.initial_temperature = 0.004;
@@ -111,11 +112,17 @@ int main(int argc, char** argv) {
         const std::size_t index = r.index(plan.size());
         const int target = static_cast<int>(r.index(kRingSlots));
         if (in_use.count(target)) return std::nullopt;
-        moves.push_back(Move{index, plan[index], target});
-        in_use.erase(plan[index]);
-        in_use.insert(target);
+        sampled = Move{index, plan[index], target};
         plan[index] = target;
-        return score(grid, plan);
+        const double drop = score(grid, plan);
+        plan[index] = sampled.old_slot;
+        return drop;
+      },
+      [&]() {
+        moves.push_back(sampled);
+        in_use.erase(sampled.old_slot);
+        in_use.insert(sampled.new_slot);
+        plan[sampled.index] = sampled.new_slot;
       },
       [&]() {
         const Move last = moves.back();

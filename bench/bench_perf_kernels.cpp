@@ -1,9 +1,9 @@
 // Google-benchmark microbenchmarks of the core kernels, backing the
 // paper's "runtimes for all cases are within seconds" claim: the three
-// assigners, the congestion estimator, the swap engine, the session's
-// evaluate, the serve protocol, the Eq.-(1) solvers (cold, and serve's
-// warm re-solves) and the full co-design flow, with the host's speed
-// reference (BM_SpinReference) beside them. The *Threads benchmarks sweep
+// assigners, the congestion estimator, the swap engine, the SA loop, the
+// session's evaluate, the serve protocol, the Eq.-(1) solvers (cold, and
+// serve's warm re-solves) and the full co-design flow, with the host's
+// speed reference (BM_SpinReference) beside them. The *Threads benchmarks sweep
 // the exec worker-pool size; `--json [path]` additionally writes the
 // fpkit.bench.parallel.v1 scaling document (BENCH_parallel.json, see
 // bench_common.h).
@@ -18,6 +18,7 @@
 #include "assign/ifa.h"
 #include "assign/random_assigner.h"
 #include "bench_common.h"
+#include "exchange/exchange.h"
 #include "exchange/incremental_cost.h"
 #include "exec/exec.h"
 #include "obs/json.h"
@@ -148,6 +149,31 @@ void BM_SwapEngine(benchmark::State& state) {
 BENCHMARK(BM_SwapEngine)
     ->ArgNames({"circuit", "psi"})
     ->Args({0, 1})->Args({0, 4})->Args({4, 1})->Args({4, 4});
+
+/// The SA exchange alone: one iteration is one ExchangeOptimizer::optimize
+/// on the default (`fpkit run`) schedule from the DFA order, 29,184
+/// proposals. The proposals counter is proposals per second.
+void BM_Anneal(benchmark::State& state) {
+  CircuitSpec spec =
+      CircuitGenerator::table1(static_cast<int>(state.range(0)));
+  spec.tier_count = static_cast<int>(state.range(1));
+  const Package package = CircuitGenerator::generate(spec);
+  const PackageAssignment initial = DfaAssigner().assign(package);
+  const ExchangeOptimizer optimizer(package, ExchangeOptions{});
+  long long proposed = 0;
+  for (auto _ : state) {
+    const ExchangeResult result = optimizer.optimize(initial);
+    proposed += result.anneal.proposed;
+    benchmark::DoNotOptimize(result.anneal.final_cost);
+  }
+  state.counters["proposals"] = benchmark::Counter(
+      static_cast<double>(proposed), benchmark::Counter::kIsRate);
+  state.SetLabel(spec.name + " psi " + std::to_string(spec.tier_count));
+}
+BENCHMARK(BM_Anneal)
+    ->ArgNames({"circuit", "psi"})
+    ->Args({0, 1})->Args({0, 4})->Args({4, 1})->Args({4, 4})
+    ->Unit(benchmark::kMillisecond);
 
 /// One `serve` evaluate cycle on the interactive-session circuit
 /// (bench_serve_session's: 768 fingers, 4 rows per quadrant, psi 2) at

@@ -8,12 +8,13 @@
 // evidently a typo since the paper cites [7] for the algorithm.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "obs/trace.h"
 #include "util/cancel.h"
 #include "util/rng.h"
 
@@ -76,25 +77,87 @@ struct AnnealResult {
 
 class Annealer {
  public:
-  /// A move proposal: perturbs the caller's state in place and returns the
-  /// new total cost, or nullopt when the sampled move is illegal (state
-  /// unchanged).
-  using TryMove = std::function<std::optional<double>(Rng&)>;
-  /// Reverts the newest successful TryMove not yet reverted. run() calls
-  /// it right after each rejected move and, before it returns, once per
-  /// accepted move made after the best state, so it must act as a stack.
-  using Undo = std::function<void()>;
-
   explicit Annealer(SaSchedule schedule);
 
-  /// Runs the schedule; on return the caller's state holds the best
-  /// configuration seen (the newest one on ties), whose cost is
-  /// AnnealResult::final_cost.
-  AnnealResult run(double initial_cost, const TryMove& try_move,
-                   const Undo& undo) const;
+  /// Runs the schedule over the caller's state through three callables:
+  ///   * propose(Rng&) -> std::optional<double> samples one move, drawing
+  ///     from the Rng, and returns the cost the state would have after it,
+  ///     or nullopt when the move is illegal. It leaves the state as it
+  ///     was;
+  ///   * commit() makes the move the last propose sampled, once it is
+  ///     accepted;
+  ///   * undo() reverts the newest commit not yet reverted. Only the final
+  ///     rewind to the best state calls it, once per move committed after
+  ///     that state, so it must act as a stack.
+  /// On return the caller's state holds the best configuration seen (the
+  /// newest one on ties), whose cost is AnnealResult::final_cost.
+  template <typename Propose, typename Commit, typename Undo>
+  AnnealResult run(double initial_cost, Propose&& propose, Commit&& commit,
+                   Undo&& undo) const;
 
  private:
+  /// Opens one temperature step: the budget and fault gates (false, with
+  /// result.stop set, when the run must stop), then the cooling sample,
+  /// the trace counter and the progress tick.
+  bool begin_step(AnnealResult& result, double temperature,
+                  double cost) const;
+  /// Records the finished run's sa.* counters and gauges.
+  void finish(const AnnealResult& result) const;
+
   SaSchedule schedule_;
 };
+
+template <typename Propose, typename Commit, typename Undo>
+AnnealResult Annealer::run(double initial_cost, Propose&& propose,
+                           Commit&& commit, Undo&& undo) const {
+  const obs::ScopedSpan span(schedule_.metric_prefix + ".anneal", "exchange");
+  Rng rng(schedule_.seed);
+  AnnealResult result;
+  result.initial_cost = initial_cost;
+  result.best_cost = initial_cost;
+
+  double cost = initial_cost;
+  // Accepted moves since the newest state whose cost is <= best_cost
+  // (ties move the mark to the later state). They are undone before the
+  // run returns, so the caller is left holding the best state.
+  long long since_best = 0;
+  for (double temperature = schedule_.initial_temperature;
+       temperature > schedule_.final_temperature;
+       temperature *= schedule_.cooling) {
+    if (!begin_step(result, temperature, cost)) break;
+    for (int i = 0; i < schedule_.moves_per_temperature; ++i) {
+      // Inner-loop budget poll, every 64 proposals so huge
+      // moves_per_temperature settings still honour the deadline.
+      if (schedule_.cancel && (result.proposed & 63) == 0 &&
+          schedule_.cancel->expired()) {
+        result.stop = AnnealStop::BudgetExpired;
+        break;
+      }
+      ++result.proposed;
+      const std::optional<double> new_cost = propose(rng);
+      if (!new_cost.has_value()) {
+        ++result.rejected_illegal;
+        continue;
+      }
+      const double delta = *new_cost - cost;
+      if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
+        commit();
+        ++result.accepted;
+        cost = *new_cost;
+        if (cost <= result.best_cost) {
+          result.best_cost = cost;
+          since_best = 0;
+        } else {
+          ++since_best;
+        }
+      }
+    }
+    if (result.stop != AnnealStop::Completed) break;
+  }
+  for (; since_best > 0; --since_best) undo();
+  result.final_cost = result.best_cost;
+  finish(result);
+  return result;
+}
 
 }  // namespace fp

@@ -128,28 +128,39 @@ ExchangeResult ExchangeOptimizer::optimize(
           "net (Fig. 14 line 7)");
 
   // The swap engine holds the order, its position index and undo journal,
-  // and the Eq.-(3) terms. Proxy mode reads the cost from it (O(psi) per
-  // swap); Exact mode re-solves its IR term on its order.
+  // and the Eq.-(3) terms. Proxy mode scores a proposal without making it
+  // (O(psi)); Exact mode makes it, re-solves the IR term on the order and
+  // takes it back.
   IncrementalCost state(*package_, initial, options_.lambda, options_.rho,
                         options_.phi);
   const PackageAssignment& current = state.assignment();
 
-  const Annealer::TryMove try_move =
-      [&](Rng& rng) -> std::optional<double> {
+  // Every span the loop draws an index from, prepared once. The supply
+  // list is drawn only in 2-D, where it is not empty; quadrants and their
+  // orders never are (Package, and the permutation check of the engine).
+  std::optional<Rng::Range> supply_range;
+  if (!stacking) supply_range.emplace(supply.size());
+  const Rng::Range quadrant_range(current.quadrants.size());
+  std::vector<Rng::Range> finger_ranges;
+  finger_ranges.reserve(current.quadrants.size());
+  for (const QuadrantAssignment& qa : current.quadrants) {
+    finger_ranges.emplace_back(qa.order.size());
+  }
+
+  IPoint sampled;  // (quadrant, left finger) of the last legal proposal
+  const auto propose = [&](Rng& rng) -> std::optional<double> {
     // Fig. 14 lines 4-7: pick any pad for stacking ICs, a power pad for 2-D.
-    NetId chosen;
+    // A stacking pick is drawn as its (quadrant, finger) position.
+    IPoint pos;
     if (stacking) {
-      const int qi =
-          static_cast<int>(rng.index(current.quadrants.size()));
-      const auto& order =
-          current.quadrants[static_cast<std::size_t>(qi)].order;
-      chosen = order[rng.index(order.size())];
+      const std::size_t qi = rng.index(quadrant_range);
+      pos = IPoint{static_cast<int>(qi),
+                   static_cast<int>(rng.index(finger_ranges[qi]))};
     } else {
-      chosen = supply[rng.index(supply.size())];
+      pos = state.position(supply[rng.index(*supply_range)]);
     }
-    const IPoint pos = state.position(chosen);
     const int size = static_cast<int>(
-        current.quadrants[static_cast<std::size_t>(pos.x)].order.size());
+        finger_ranges[static_cast<std::size_t>(pos.x)].size());
     if (size < 2) return std::nullopt;
 
     // Fig. 14 line 8: swap with the left or the right neighbour.
@@ -160,17 +171,24 @@ ExchangeResult ExchangeOptimizer::optimize(
     // Range constraint: a same-row pair must keep its via order.
     if (!state.swap_legal(pos.x, left)) return std::nullopt;
 
+    sampled = IPoint{pos.x, left};
+    if (options_.ir_mode == IrCostMode::Proxy) {
+      return state.swap_cost(pos.x, left);
+    }
     state.apply_swap(pos.x, left);
-    return cost(state);
+    const double scored = cost(state);
+    state.undo_last();
+    return scored;
   };
-  const Annealer::Undo undo = [&state]() { state.undo_last(); };
+  const auto commit = [&] { state.apply_swap(sampled.x, sampled.y); };
+  const auto undo = [&] { state.undo_last(); };
 
   ExchangeResult result;
   result.ir_cost_before = ir_cost(initial);
   result.omega_before = state.omega();
 
   const Annealer annealer(options_.schedule);
-  result.anneal = annealer.run(cost(state), try_move, undo);
+  result.anneal = annealer.run(cost(state), propose, commit, undo);
 
   result.ir_cost_after = ir_cost(current);
   result.omega_after = state.omega();

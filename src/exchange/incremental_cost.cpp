@@ -16,15 +16,11 @@ std::int64_t squared_gap(int from, int to, int size) {
   return gap * gap;
 }
 
-/// Union of the tiers in ring slots [group * psi, (group + 1) * psi).
-std::uint32_t group_union(const std::vector<int>& slot_tier, int group,
-                          int psi) {
-  const auto start =
-      static_cast<std::size_t>(group) * static_cast<std::size_t>(psi);
-  const std::size_t end =
-      std::min(start + static_cast<std::size_t>(psi), slot_tier.size());
+/// Union of the tiers in ring slots [begin, end).
+std::uint32_t tier_union(const std::vector<int>& slot_tier, std::size_t begin,
+                         std::size_t end) {
   std::uint32_t value = 0;
-  for (std::size_t i = start; i < end; ++i) value |= 1u << slot_tier[i];
+  for (std::size_t i = begin; i < end; ++i) value |= 1u << slot_tier[i];
   return value;
 }
 
@@ -95,16 +91,22 @@ IncrementalCost::IncrementalCost(const Package& package,
     const auto total = static_cast<double>(alpha_);
     even_gap_sum_sq_ = total * total / static_cast<double>(supply_pos_.size());
   }
-  for (int g = 0; g * tier_count_ < alpha_; ++g) {
-    group_union_.push_back(group_union(slot_tier_, g, tier_count_));
+  const auto psi = static_cast<std::size_t>(tier_count_);
+  for (std::size_t start = 0; start < slot_tier_.size(); start += psi) {
+    group_union_.push_back(tier_union(
+        slot_tier_, start, std::min(start + psi, slot_tier_.size())));
     omega_ += std::popcount(full_mask_ & ~group_union_.back());
   }
 }
 
 double IncrementalCost::dispersion() const {
+  return dispersion_of(gap_sum_sq_);
+}
+
+double IncrementalCost::dispersion_of(std::int64_t gap_sum_sq) const {
   return supply_pos_.empty()
              ? 0.0
-             : static_cast<double>(gap_sum_sq_) / even_gap_sum_sq_;
+             : static_cast<double>(gap_sum_sq) / even_gap_sum_sq_;
 }
 
 int IncrementalCost::increased_density() const {
@@ -114,8 +116,18 @@ int IncrementalCost::increased_density() const {
 int IncrementalCost::omega() const { return omega_; }
 
 double IncrementalCost::current() const {
-  return lambda_ * dispersion() + rho_ * increased_density() +
-         phi_ * omega_;
+  return cost_of(gap_sum_sq_, max_delta_, omega_);
+}
+
+double IncrementalCost::cost_of(std::int64_t gap_sum_sq, int max_delta,
+                                int omega) const {
+  return lambda_ * dispersion_of(gap_sum_sq) + rho_ * std::max(0, max_delta) +
+         phi_ * omega;
+}
+
+double IncrementalCost::swap_cost(int quadrant, int left_finger) const {
+  const SwapEffect effect = effect_of(quadrant, left_finger);
+  return cost_of(effect.gap_sum_sq, effect.max_delta, effect.omega);
 }
 
 bool IncrementalCost::swap_legal(int quadrant, int left_finger) const {
@@ -147,46 +159,43 @@ IPoint IncrementalCost::undo_last() {
 
 // The caller has checked swap_legal(): apply_swap() directly, undo_last()
 // by construction (swapping back a legal pair is legal).
-void IncrementalCost::swap_impl(int quadrant, int left_finger) {
-  auto& order = current_.quadrants[static_cast<std::size_t>(quadrant)].order;
+IncrementalCost::SwapEffect IncrementalCost::effect_of(
+    int quadrant, int left_finger) const {
+  const auto q = static_cast<std::size_t>(quadrant);
+  const auto& order = current_.quadrants[q].order;
   const auto f = static_cast<std::size_t>(left_finger);
-  const NetId a = order[f];
-  const NetId b = order[f + 1];
-  const int p = ring_offset_[static_cast<std::size_t>(quadrant)] +
-                left_finger;
-
-  std::swap(order[f], order[f + 1]);
-  std::swap(slot_tier_[static_cast<std::size_t>(p)],
-            slot_tier_[static_cast<std::size_t>(p) + 1]);
-  position_[static_cast<std::size_t>(a)] = IPoint{quadrant, left_finger + 1};
-  position_[static_cast<std::size_t>(b)] = IPoint{quadrant, left_finger};
-  NetEntry& ea = nets_[static_cast<std::size_t>(a)];
-  NetEntry& eb = nets_[static_cast<std::size_t>(b)];
+  const NetEntry& ea = nets_[static_cast<std::size_t>(order[f])];
+  const NetEntry& eb = nets_[static_cast<std::size_t>(order[f + 1])];
+  const int p = ring_offset_[q] + left_finger;
+  SwapEffect effect;
+  effect.gap_sum_sq = gap_sum_sq_;
+  effect.max_delta = max_delta_;
+  effect.omega = omega_;
 
   // --- dispersion ---------------------------------------------------------
   if (ea.supply_rank >= 0 && eb.supply_rank >= 0) {
     // Two supply pads trade ranks; the set of supply slots is unchanged.
-    std::swap(ea.supply_rank, eb.supply_rank);
+    effect.trade_ranks = true;
   } else if (ea.supply_rank >= 0 || eb.supply_rank >= 0) {
     // One supply pad steps over a signal pad, so the cyclic order of the
     // supply pads holds and only its gaps to ranks r-1 and r+1 change.
     const bool a_moves = ea.supply_rank >= 0;
-    const auto rank =
-        static_cast<std::size_t>(a_moves ? ea.supply_rank : eb.supply_rank);
+    effect.moving_rank = a_moves ? ea.supply_rank : eb.supply_rank;
+    const auto rank = static_cast<std::size_t>(effect.moving_rank);
     const int from = a_moves ? p : p + 1;
-    const int to = a_moves ? p + 1 : p;
-    int& slot = supply_pos_[rank];
-    ensure(slot == from, "IncrementalCost: supply position desync");
+    effect.moving_to = a_moves ? p + 1 : p;
+    ensure(supply_pos_[rank] == from,
+           "IncrementalCost: supply position desync");
     const std::size_t count = supply_pos_.size();
     if (count > 1) {
+      const int to = effect.moving_to;
       const int before = supply_pos_[(rank == 0 ? count : rank) - 1];
       const int after = supply_pos_[rank + 1 == count ? 0 : rank + 1];
-      gap_sum_sq_ += squared_gap(before, to, alpha_) +
-                     squared_gap(to, after, alpha_) -
-                     squared_gap(before, from, alpha_) -
-                     squared_gap(from, after, alpha_);
+      effect.gap_sum_sq += squared_gap(before, to, alpha_) +
+                           squared_gap(to, after, alpha_) -
+                           squared_gap(before, from, alpha_) -
+                           squared_gap(from, after, alpha_);
     }
-    slot = to;
   }
 
   // --- Eq. (2): one signal net crosses a section boundary -----------------
@@ -194,35 +203,84 @@ void IncrementalCost::swap_impl(int quadrant, int left_finger) {
     // Section `rank` ends at top-row net `rank`. a on top: the signal net
     // b moves from section rank+1 to rank; b on top: a moves the other way.
     const bool ta = ea.top_rank >= 0;
-    const int section = section_offset_[static_cast<std::size_t>(quadrant)] +
-                        (ta ? ea.top_rank : eb.top_rank);
-    const auto step = [this](int index, int by) {
-      int& delta = delta_[static_cast<std::size_t>(index)];
-      --delta_count_[static_cast<std::size_t>(delta + alpha_)];
-      delta += by;
-      ++delta_count_[static_cast<std::size_t>(delta + alpha_)];
-      max_delta_ = std::max(max_delta_, delta);
-    };
-    step(ta ? section : section + 1, +1);
-    step(ta ? section + 1 : section, -1);
-    // Only the losing section can empty the max's bucket; it is one below.
-    if (delta_count_[static_cast<std::size_t>(max_delta_ + alpha_)] == 0) {
-      --max_delta_;
-    }
+    const int section =
+        section_offset_[q] + (ta ? ea.top_rank : eb.top_rank);
+    effect.gaining_section = ta ? section : section + 1;
+    effect.losing_section = ta ? section + 1 : section;
+    const int gainer = delta_[static_cast<std::size_t>(effect.gaining_section)];
+    const int loser = delta_[static_cast<std::size_t>(effect.losing_section)];
+    const int max = std::max(max_delta_, gainer + 1);
+    // Sections at `max` after the move. Only the losing section can empty
+    // the max's bucket; the max is then one below.
+    const int at_max = delta_count_[static_cast<std::size_t>(max + alpha_)] -
+                       (gainer == max) + (gainer + 1 == max) -
+                       (loser == max) + (loser - 1 == max);
+    effect.max_delta = at_max == 0 ? max - 1 : max;
   }
 
   // --- omega: rebuild the touched groups when the swap straddles one ------
+  // Group `group` ends at slot p and group + 1 starts at p + 1, so each
+  // takes the other's boundary tier. At psi = 1 omega stays 0.
   const int group = p / tier_count_;
-  if (p + 1 == (group + 1) * tier_count_) {
-    for (const int g : {group, group + 1}) {
-      std::uint32_t& value = group_union_[static_cast<std::size_t>(g)];
-      const std::uint32_t rebuilt = group_union(slot_tier_, g, tier_count_);
-      if (rebuilt == value) continue;
-      omega_ += std::popcount(full_mask_ & ~rebuilt) -
-                std::popcount(full_mask_ & ~value);
-      value = rebuilt;
+  if (tier_count_ > 1 && p + 1 == (group + 1) * tier_count_) {
+    effect.group = group;
+    const auto at = static_cast<std::size_t>(p);
+    const auto psi = static_cast<std::size_t>(tier_count_);
+    effect.unions[0] = tier_union(slot_tier_, at + 1 - psi, at) |
+                       1u << slot_tier_[at + 1];
+    effect.unions[1] =
+        1u << slot_tier_[at] |
+        tier_union(slot_tier_, at + 2,
+                   std::min(at + 1 + psi, slot_tier_.size()));
+    for (std::size_t i = 0; i < 2; ++i) {
+      effect.omega +=
+          std::popcount(full_mask_ & ~effect.unions[i]) -
+          std::popcount(
+              full_mask_ &
+              ~group_union_[static_cast<std::size_t>(group) + i]);
     }
   }
+  return effect;
+}
+
+void IncrementalCost::swap_impl(int quadrant, int left_finger) {
+  const SwapEffect effect = effect_of(quadrant, left_finger);
+  auto& order = current_.quadrants[static_cast<std::size_t>(quadrant)].order;
+  const auto f = static_cast<std::size_t>(left_finger);
+  const auto a = static_cast<std::size_t>(order[f]);
+  const auto b = static_cast<std::size_t>(order[f + 1]);
+  const auto p = static_cast<std::size_t>(
+      ring_offset_[static_cast<std::size_t>(quadrant)] + left_finger);
+
+  std::swap(order[f], order[f + 1]);
+  std::swap(slot_tier_[p], slot_tier_[p + 1]);
+  position_[a] = IPoint{quadrant, left_finger + 1};
+  position_[b] = IPoint{quadrant, left_finger};
+  if (effect.trade_ranks) {
+    std::swap(nets_[a].supply_rank, nets_[b].supply_rank);
+  }
+  if (effect.moving_rank >= 0) {
+    supply_pos_[static_cast<std::size_t>(effect.moving_rank)] =
+        effect.moving_to;
+  }
+  if (effect.gaining_section >= 0) {
+    const auto step = [this](int section, int by) {
+      int& delta = delta_[static_cast<std::size_t>(section)];
+      --delta_count_[static_cast<std::size_t>(delta + alpha_)];
+      delta += by;
+      ++delta_count_[static_cast<std::size_t>(delta + alpha_)];
+    };
+    step(effect.gaining_section, +1);
+    step(effect.losing_section, -1);
+  }
+  if (effect.group >= 0) {
+    const auto g = static_cast<std::size_t>(effect.group);
+    group_union_[g] = effect.unions[0];
+    group_union_[g + 1] = effect.unions[1];
+  }
+  gap_sum_sq_ = effect.gap_sum_sq;
+  max_delta_ = effect.max_delta;
+  omega_ = effect.omega;
 }
 
 }  // namespace fp

@@ -21,9 +21,14 @@
 //     one signal net moves between two adjacent sections. A histogram of
 //     section deltas (load - baseline) keeps the max, which moves by <= 1;
 //   * omega, O(psi)    -- when the swap straddles a psi-group boundary,
-//     the two touched groups' unions are rebuilt from the slots' tiers.
-// Equivalence with the full recomputation is property-tested over random
-// legal swap and multi-level undo sequences.
+//     the two touched groups' unions are rebuilt from the slots' tiers. At
+//     psi = 1 every slot is its own group holding every tier, so omega is
+//     0 and nothing is rebuilt.
+// One const computation finds what a swap changes in these terms: a
+// proposal is scored through it without making the swap (swap_cost), and
+// a swap made applies what it found. Equivalence with the full
+// recomputation is property-tested over random legal swap and multi-level
+// undo sequences.
 #pragma once
 
 #include <cstddef>
@@ -72,6 +77,10 @@ class IncrementalCost {
   /// their via order, which the monotone range constraint forbids.
   [[nodiscard]] bool swap_legal(int quadrant, int left_finger) const;
 
+  /// The current() that apply_swap(quadrant, left_finger) would leave, to
+  /// the bit, without making the swap. Requires swap_legal().
+  [[nodiscard]] double swap_cost(int quadrant, int left_finger) const;
+
   /// Applies the swap of fingers (left, left+1) of `quadrant` and
   /// journals it; throws InvalidArgument unless swap_legal().
   void apply_swap(int quadrant, int left_finger);
@@ -96,6 +105,31 @@ class IncrementalCost {
     int supply_rank = -1;
   };
 
+  /// What the swap of fingers (left, left+1) of a quadrant changes: the
+  /// new value of each Eq.-(3) term's state and where it changes.
+  struct SwapEffect {
+    std::int64_t gap_sum_sq = 0;
+    int max_delta = 0;
+    int omega = 0;
+    /// Two supply pads trade ranks; their slots stay supply slots.
+    bool trade_ranks = false;
+    /// The supply rank that steps over a signal pad, and its new slot.
+    int moving_rank = -1;
+    int moving_to = -1;
+    /// The Eq.-(2) sections that gain and lose a signal net.
+    int gaining_section = -1;
+    int losing_section = -1;
+    /// The straddled psi-groups `group` and `group + 1`, rebuilt.
+    int group = -1;
+    std::uint32_t unions[2] = {0, 0};
+  };
+
+  [[nodiscard]] SwapEffect effect_of(int quadrant, int left_finger) const;
+  /// Eq. (3) of the given term states: current() on this state's values,
+  /// swap_cost() on a SwapEffect's.
+  [[nodiscard]] double cost_of(std::int64_t gap_sum_sq, int max_delta,
+                               int omega) const;
+  [[nodiscard]] double dispersion_of(std::int64_t gap_sum_sq) const;
   void swap_impl(int quadrant, int left_finger);
 
   double lambda_;

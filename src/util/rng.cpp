@@ -3,8 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "util/error.h"
-
 namespace fp {
 namespace {
 
@@ -16,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -29,16 +23,10 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
+Rng::Range::Range(std::size_t n) : n_(n) {
+  require(n > 0, "Rng::Range: n must be positive");
+  limit_ = limit_for(n);
+  reciprocal_ = ~U128{0} / n + 1;
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -48,30 +36,16 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (span == 0) {  // full 64-bit range
     return static_cast<std::int64_t>(next());
   }
-  // Rejection sampling for an unbiased result.
-  const std::uint64_t limit = max() - max() % span;
-  std::uint64_t v = next();
-  while (v >= limit) v = next();
-  return lo + static_cast<std::int64_t>(v % span);
-}
-
-std::size_t Rng::index(std::size_t n) {
-  require(n > 0, "Rng::index: n must be positive");
-  return static_cast<std::size_t>(
-      uniform_int(0, static_cast<std::int64_t>(n) - 1));
-}
-
-double Rng::uniform() {
-  // 53 top bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  // Rejection sampling for an unbiased result, offset modulo 2^64 so a
+  // span above 2^63 cannot overflow.
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   below(span));
 }
 
 double Rng::uniform(double lo, double hi) {
   require(lo <= hi, "Rng::uniform: empty range");
   return lo + (hi - lo) * uniform();
 }
-
-bool Rng::chance(double p) { return uniform() < p; }
 
 double Rng::normal() {
   if (have_cached_normal_) {

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "assign/dfa.h"
+#include "assign/ifa.h"
 #include "exchange/exchange.h"
 #include "package/circuit_generator.h"
 #include "power/pad_ring.h"
@@ -53,17 +56,20 @@ TEST(Annealer, MinimisesQuadratic) {
   schedule.cooling = 0.95;
   schedule.moves_per_temperature = 20;
   int x = 47;
+  int step = 0;            // the last proposal's move
   std::vector<int> moves;  // undo pops these newest first
   const Annealer annealer(schedule);
   const AnnealResult result = annealer.run(
       static_cast<double>(x) * x,
       [&](Rng& rng) -> std::optional<double> {
-        const int delta = rng.chance(0.5) ? 1 : -1;
-        const int nx = x + delta;
+        step = rng.chance(0.5) ? 1 : -1;
+        const int nx = x + step;
         if (nx < -50 || nx > 50) return std::nullopt;
-        x = nx;
-        moves.push_back(delta);
-        return static_cast<double>(x) * x;
+        return static_cast<double>(nx) * nx;
+      },
+      [&]() {
+        x += step;
+        moves.push_back(step);
       },
       [&]() {
         x -= moves.back();
@@ -85,6 +91,7 @@ TEST(Annealer, CountsIllegalMoves) {
   const Annealer annealer(schedule);
   const AnnealResult result = annealer.run(
       1.0, [](Rng&) -> std::optional<double> { return std::nullopt; },
+      []() { FAIL() << "commit must not run for illegal moves"; },
       []() { FAIL() << "undo must not run for illegal moves"; });
   EXPECT_EQ(result.rejected_illegal, result.proposed);
   EXPECT_EQ(result.accepted, 0);
@@ -100,15 +107,22 @@ TEST(Annealer, DeterministicInSeed) {
     schedule.cooling = 0.9;
     schedule.moves_per_temperature = 8;
     int x = 30;
-    int last = 0;
+    int step = 0;
+    std::vector<int> moves;
     return Annealer(schedule).run(
         900.0,
         [&](Rng& rng) -> std::optional<double> {
-          last = rng.chance(0.5) ? 1 : -1;
-          x += last;
-          return static_cast<double>(x) * x;
+          step = rng.chance(0.5) ? 1 : -1;
+          return static_cast<double>(x + step) * (x + step);
         },
-        [&]() { x -= last; });
+        [&]() {
+          x += step;
+          moves.push_back(step);
+        },
+        [&]() {
+          x -= moves.back();
+          moves.pop_back();
+        });
   };
   const AnnealResult a = run_once();
   const AnnealResult b = run_once();
@@ -347,6 +361,148 @@ TEST(Exchange, ExactIrModeRuns) {
           package.quadrant(qi),
           result.assignment.quadrants[static_cast<std::size_t>(qi)]));
     }
+  }
+}
+
+// ---------------------------------------------------- pinned SA bits ----
+
+/// FNV-1a over a ring order's net ids.
+std::uint64_t ring_hash(const PackageAssignment& assignment) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const NetId net : assignment.ring_order()) {
+    hash ^= static_cast<std::uint32_t>(net);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// What one pinned annealing must reproduce bit for bit.
+struct PinnedAnneal {
+  std::string name;
+  long long proposed;
+  long long accepted;
+  long long rejected_illegal;
+  int temperature_steps;
+  double initial_cost;
+  double best_cost;
+  double final_cost;
+  std::uint64_t ring_hash;
+};
+
+/// `pin` as a PinnedAnneal initialiser, so a deliberate change can paste
+/// the new row.
+std::string anneal_row(const PinnedAnneal& pin) {
+  char row[256];
+  std::snprintf(row, sizeof row,
+                "{\"%s\", %lld, %lld, %lld, %d, %a, %a, %a, 0x%016llxULL},",
+                pin.name.c_str(), pin.proposed, pin.accepted,
+                pin.rejected_illegal, pin.temperature_steps, pin.initial_cost,
+                pin.best_cost, pin.final_cost,
+                static_cast<unsigned long long>(pin.ring_hash));
+  return row;
+}
+
+// The SA's exact outputs on the default proxy schedule: Table-1 circuits 1
+// and 5 at psi 1 (supply-pad moves) and 4 (any-pad moves), from DFA and
+// IFA starts, at two schedule seeds each, then one Exact-mode run that
+// scores every proposal with an 8 x 8 mesh solve. Loop rewrites must keep
+// the draws, the accept decisions and so every bit. The values were
+// captured at commit 067fb7f; a deliberate change of the SA's numbers
+// updates them in its own commit, with the reason.
+TEST(Exchange, AnnealKeepsTheParentsBits) {
+  const PinnedAnneal expected[] = {
+      {"c1 psi1 dfa seed1", 29184, 5750, 6869, 456, 0x1.f4p+4,
+       0x1.9055555555556p+4, 0x1.9055555555556p+4, 0x0eb22062ba51c7cdULL},
+      {"c1 psi1 dfa seed2", 29184, 5793, 5805, 456, 0x1.f4p+4,
+       0x1.9055555555556p+4, 0x1.9055555555556p+4, 0xa3d82b619ced7f11ULL},
+      {"c1 psi1 ifa seed1", 29184, 5179, 8682, 456, 0x1.f0aaaaaaaaaaap+4,
+       0x1.9a55555555556p+4, 0x1.9a55555555556p+4, 0xc123106d36d1b693ULL},
+      {"c1 psi1 ifa seed2", 29184, 5576, 6890, 456, 0x1.f0aaaaaaaaaaap+4,
+       0x1.9555555555556p+4, 0x1.9555555555556p+4, 0xff1dae55ed5e82cdULL},
+      {"c1 psi4 dfa seed1", 29184, 10616, 7384, 456, 0x1.016aaaaaaaaaap+6,
+       0x1.65d5555555555p+5, 0x1.65d5555555555p+5, 0xc477af8f72d3e061ULL},
+      {"c1 psi4 dfa seed2", 29184, 10987, 7063, 456, 0x1.016aaaaaaaaaap+6,
+       0x1.4bp+5, 0x1.4bp+5, 0x922cc1c728ec7cd1ULL},
+      {"c1 psi4 ifa seed1", 29184, 10974, 7856, 456, 0x1.07eaaaaaaaaaap+6,
+       0x1.4daaaaaaaaaabp+5, 0x1.4daaaaaaaaaabp+5, 0x67c4b5ac1d318e55ULL},
+      {"c1 psi4 ifa seed2", 29184, 10408, 7370, 456, 0x1.07eaaaaaaaaaap+6,
+       0x1.508p+5, 0x1.508p+5, 0x6bc21e4e7ce32a53ULL},
+      {"c5 psi1 dfa seed1", 29184, 9960, 6142, 456, 0x1.24db6db6db6dbp+5,
+       0x1.eddb6db6db6dbp+4, 0x1.eddb6db6db6dbp+4, 0x355de5cf08aef82bULL},
+      {"c5 psi1 dfa seed2", 29184, 10619, 5595, 456, 0x1.24db6db6db6dbp+5,
+       0x1.efa4924924925p+4, 0x1.efa4924924925p+4, 0x9062a31addafcd41ULL},
+      {"c5 psi1 ifa seed1", 29184, 10606, 5732, 456, 0x1.16edb6db6db6ep+5,
+       0x1.e15b6db6db6dbp+4, 0x1.e15b6db6db6dbp+4, 0x5eaa2921b331db7bULL},
+      {"c5 psi1 ifa seed2", 29184, 10987, 5484, 456, 0x1.16edb6db6db6ep+5,
+       0x1.c3db6db6db6dbp+4, 0x1.c3db6db6db6dbp+4, 0x0d6301b55069b483ULL},
+      {"c5 psi4 dfa seed1", 29184, 13986, 6682, 456, 0x1.6016db6db6db7p+7,
+       0x1.aa32492492492p+6, 0x1.aa32492492492p+6, 0xb603b5109e4fab57ULL},
+      {"c5 psi4 dfa seed2", 29184, 13890, 6490, 456, 0x1.6016db6db6db7p+7,
+       0x1.8969249249249p+6, 0x1.8969249249249p+6, 0xd597ba950ceedfd1ULL},
+      {"c5 psi4 ifa seed1", 29184, 14112, 6190, 456, 0x1.5f4db6db6db6ep+7,
+       0x1.8529249249249p+6, 0x1.8529249249249p+6, 0x46f7d82e36fc1285ULL},
+      {"c5 psi4 ifa seed2", 29184, 14210, 6769, 456, 0x1.5f4db6db6db6ep+7,
+       0x1.a89b6db6db6dcp+6, 0x1.a89b6db6db6dcp+6, 0x8b3827aced12036fULL},
+      {"c1 psi1 dfa exact k=8", 56, 32, 5, 7, 0x1.5717606287f23p+2,
+       0x1.571760627e21bp+2, 0x1.571760627e21bp+2, 0x5dd931dcaf85dc59ULL},
+  };
+  std::vector<PinnedAnneal> actual;
+  const auto record = [&](std::string name, const Package& package,
+                          const PackageAssignment& initial,
+                          const ExchangeOptions& options) {
+    const ExchangeResult result =
+        ExchangeOptimizer(package, options).optimize(initial);
+    const AnnealResult& a = result.anneal;
+    actual.push_back({std::move(name), a.proposed, a.accepted,
+                      a.rejected_illegal, a.temperature_steps,
+                      a.initial_cost, a.best_cost, a.final_cost,
+                      ring_hash(result.assignment)});
+  };
+  for (const int circuit : {1, 5}) {
+    for (const int psi : {1, 4}) {
+      CircuitSpec spec = CircuitGenerator::table1(circuit - 1);
+      spec.tier_count = psi;
+      const Package package = CircuitGenerator::generate(spec);
+      for (const bool dfa : {true, false}) {
+        const PackageAssignment initial =
+            dfa ? DfaAssigner().assign(package) : IfaAssigner().assign(package);
+        for (const std::uint64_t seed : {1ULL, 2ULL}) {
+          ExchangeOptions options;
+          options.schedule.seed = seed;
+          record("c" + std::to_string(circuit) + " psi" +
+                     std::to_string(psi) + (dfa ? " dfa" : " ifa") +
+                     " seed" + std::to_string(seed),
+                 package, initial, options);
+        }
+      }
+    }
+  }
+  const Package package =
+      CircuitGenerator::generate(CircuitGenerator::table1(0));
+  ExchangeOptions exact;
+  exact.ir_mode = IrCostMode::Exact;
+  exact.grid_spec.nodes_per_side = 8;
+  exact.schedule.initial_temperature = 1.0;
+  exact.schedule.final_temperature = 0.1;
+  exact.schedule.cooling = 0.7;
+  exact.schedule.moves_per_temperature = 8;
+  record("c1 psi1 dfa exact k=8", package, DfaAssigner().assign(package),
+         exact);
+
+  ASSERT_EQ(actual.size(), std::size(expected));
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const PinnedAnneal& want = expected[i];
+    const PinnedAnneal& got = actual[i];
+    const std::string row = "now: " + anneal_row(got);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.proposed, want.proposed) << row;
+    EXPECT_EQ(got.accepted, want.accepted) << row;
+    EXPECT_EQ(got.rejected_illegal, want.rejected_illegal) << row;
+    EXPECT_EQ(got.temperature_steps, want.temperature_steps) << row;
+    EXPECT_EQ(got.initial_cost, want.initial_cost) << row;
+    EXPECT_EQ(got.best_cost, want.best_cost) << row;
+    EXPECT_EQ(got.final_cost, want.final_cost) << row;
+    EXPECT_EQ(got.ring_hash, want.ring_hash) << row;
   }
 }
 

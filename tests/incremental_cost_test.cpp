@@ -59,8 +59,9 @@ void check_positions(const IncrementalCost& incremental) {
 
 /// Random legal swaps and multi-level undos from the DFA order: after
 /// every step the journal rewinds to the saved orders, the position index
-/// matches the order and the supply slots are the ring's; every few steps
-/// each term equals the full recomputation.
+/// matches the order and the supply slots are the ring's; before every
+/// swap swap_cost() names the cost it leaves and changes nothing; every
+/// few steps each term equals the full recomputation.
 void sweep_swaps_and_undos(const Package& package, std::uint64_t seed) {
   const PackageAssignment initial = DfaAssigner().assign(package);
   const IncreasedDensity baseline(package, initial);
@@ -103,7 +104,15 @@ void sweep_swaps_and_undos(const Package& package, std::uint64_t seed) {
       if (!legal) continue;  // illegal move, skip
 
       history.push_back(incremental.assignment().ring_order());
+      // Scoring the swap first leaves the state as it was and names, to
+      // the bit, the cost the swap then leaves.
+      const double before = incremental.current();
+      const double predicted = incremental.swap_cost(qi, left);
+      ASSERT_EQ(incremental.current(), before);
+      ASSERT_EQ(incremental.assignment().ring_order(), history.back());
+      check_positions(incremental);
       incremental.apply_swap(qi, left);
+      ASSERT_EQ(incremental.current(), predicted);
       ASSERT_EQ(incremental.supply_slots(),
                 ring.supply_slots(incremental.assignment()));
       ++applied;

@@ -295,12 +295,14 @@ TEST(JsonFuzz, DescendingKeysParseInAscendingOrder) {
   };
   std::string descending = "{";
   for (int i = kKeys - 1; i >= 0; --i) {
-    descending += "\"" + key(i) + "\":" + std::to_string(i);
+    descending += '"' + key(i);
+    descending += "\":" + std::to_string(i);
     descending += i > 0 ? "," : "}";
   }
   std::string ascending = "{";
   for (int i = 0; i < kKeys; ++i) {
-    ascending += "\"" + key(i) + "\":" + std::to_string(i);
+    ascending += '"' + key(i);
+    ascending += "\":" + std::to_string(i);
     ascending += i + 1 < kKeys ? "," : "}";
   }
   const Json doc = obs::json_parse(descending);

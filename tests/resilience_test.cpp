@@ -376,7 +376,7 @@ TEST_F(ResilienceTest, ExpiredTokenStopsAnnealerImmediately) {
   schedule.cancel = &token;
   const Annealer annealer(schedule);
   const AnnealResult result = annealer.run(
-      5.0, [](Rng&) { return std::optional<double>(); }, [] {});
+      5.0, [](Rng&) { return std::optional<double>(); }, [] {}, [] {});
   EXPECT_EQ(result.stop, AnnealStop::BudgetExpired);
   EXPECT_EQ(result.proposed, 0);
   EXPECT_EQ(result.final_cost, 5.0);

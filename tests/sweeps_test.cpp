@@ -25,17 +25,24 @@ TEST(AnnealerTrace, RecordsRequestedSamples) {
   schedule.moves_per_temperature = 4;
   schedule.record_every = 3;
   int x = 20;
-  int last = 0;
+  int step = 0;
+  std::vector<int> moves;
   obs::MetricsRegistry::global().clear();
   obs::set_metrics_enabled(true);
   const AnnealResult result = Annealer(schedule).run(
       400.0,
       [&](Rng& rng) -> std::optional<double> {
-        last = rng.chance(0.5) ? 1 : -1;
-        x += last;
-        return static_cast<double>(x) * x;
+        step = rng.chance(0.5) ? 1 : -1;
+        return static_cast<double>(x + step) * (x + step);
       },
-      [&]() { x -= last; });
+      [&]() {
+        x += step;
+        moves.push_back(step);
+      },
+      [&]() {
+        x -= moves.back();
+        moves.pop_back();
+      });
   obs::set_metrics_enabled(false);
   const std::optional<obs::SeriesSnapshot> cooling =
       obs::MetricsRegistry::global().series("sa.cooling");

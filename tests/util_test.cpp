@@ -100,6 +100,50 @@ TEST(Rng, UniformDoubleMeanIsHalf) {
 TEST(Rng, IndexRejectsZero) {
   Rng rng(1);
   EXPECT_THROW((void)rng.index(0), InvalidArgument);
+  EXPECT_THROW(Rng::Range(0), InvalidArgument);
+}
+
+// index(n) draws on the unsigned span, so every n up to 2^64 - 1 is a
+// span, and a Range built once per span gives the same values from the
+// same next() calls. Up to 2^63 both equal uniform_int(0, n - 1), the
+// draw index(n) made through before.
+TEST(Rng, RangeMatchesIndexOnEverySpan) {
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  const std::uint64_t spans[] = {1,
+                                 2,
+                                 3,
+                                 7,
+                                 37,
+                                 (std::uint64_t{1} << 31) - 1,
+                                 (std::uint64_t{1} << 32) - 1,
+                                 (std::uint64_t{1} << 32) + 1,
+                                 (std::uint64_t{1} << 53) + 1,
+                                 kTwo63,
+                                 kTwo63 + 1,
+                                 ~std::uint64_t{0}};
+  for (const std::uint64_t n : spans) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const Rng::Range range(n);
+    EXPECT_EQ(range.size(), n);
+    Rng by_index(n ^ 0x5eed);
+    Rng by_range(n ^ 0x5eed);
+    Rng by_uniform_int(n ^ 0x5eed);
+    for (int i = 0; i < 100000; ++i) {
+      const std::size_t value = by_index.index(n);
+      ASSERT_LT(value, n);
+      ASSERT_EQ(by_range.index(range), value);
+      if (n <= kTwo63) {
+        ASSERT_EQ(static_cast<std::uint64_t>(by_uniform_int.uniform_int(
+                      0, static_cast<std::int64_t>(n - 1))),
+                  value);
+      }
+    }
+    const std::uint64_t state = by_index.next();
+    EXPECT_EQ(by_range.next(), state);
+    if (n <= kTwo63) {
+      EXPECT_EQ(by_uniform_int.next(), state);
+    }
+  }
 }
 
 TEST(Rng, NormalHasUnitVariance) {
